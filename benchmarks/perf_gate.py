@@ -333,9 +333,53 @@ def bench_event_loop() -> Tuple[int, float]:
     return events, elapsed
 
 
-#: Cached fleet workload: generation (seeded RNG vectors) is untimed
-#: setup and identical across repeats, so build it once per process.
-_FLEET_WORKLOAD = None
+def bench_event_loop_until_event() -> Tuple[int, float]:
+    """The controller's wait shape: raw engine events per second.
+
+    Callers submit jobs one at a time; each job queues for one of four
+    cores (a :class:`~repro.sim.Resource`), holds it for a seeded
+    service time, and its caller waits on ``AnyOf([job, deadline])``
+    as the invocation path does.  About a fifth of the deadlines fire
+    first.  The driver runs under ``run(until=process)``, the mode most
+    engine events in the paper suite go through, which ``event_loop``
+    (``until=None``) never exercises.
+    """
+    from repro.sim import AnyOf, Environment, Resource
+
+    rng = random.Random(14)
+    callers, jobs = 32, 100
+    services = [
+        [rng.expovariate(0.2) for _job in range(jobs)] for _c in range(callers)
+    ]
+
+    def job(env, cores, service):
+        request = cores.request()
+        yield request
+        try:
+            yield env.timeout(service)
+        finally:
+            cores.release(request)
+
+    def caller(env, cores, mine):
+        for service in mine:
+            work = env.process(job(env, cores, service))
+            yield AnyOf(env, [work, env.timeout(50.0)])
+
+    def driver(env, cores):
+        yield env.all_of(
+            [env.process(caller(env, cores, mine)) for mine in services]
+        )
+
+    rounds = 5
+    started = time.perf_counter()
+    events = 0
+    for _ in range(rounds):
+        env = Environment()
+        cores = Resource(env, capacity=4)
+        env.run(until=env.process(driver(env, cores)))
+        events += env.events_processed
+    elapsed = time.perf_counter() - started
+    return events, elapsed
 
 
 def bench_million_event_fleet() -> Tuple[int, float]:
@@ -359,10 +403,9 @@ def bench_million_event_fleet() -> Tuple[int, float]:
     from repro.sim import Environment
     from repro.workload.fleet import FleetConfig, generate, run_batched
 
-    global _FLEET_WORKLOAD
-    if _FLEET_WORKLOAD is None:
-        _FLEET_WORKLOAD = generate(FleetConfig(arrivals=520_000))
-    workload = _FLEET_WORKLOAD
+    # Untimed setup, rebuilt per call: a module-level cache would keep
+    # 520k arrivals alive into the next bench and skew its timing.
+    workload = generate(FleetConfig(arrivals=520_000))
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -374,6 +417,8 @@ def bench_million_event_fleet() -> Tuple[int, float]:
     finally:
         if was_enabled:
             gc.enable()
+    del workload, env
+    gc.collect()
     assert stats.engine_events >= 1_000_000
     return stats.engine_events, elapsed
 
@@ -408,6 +453,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[int, float]], str]] = {
     "routing_decision": (bench_routing_decision, "decisions"),
     "page_dedup": (bench_page_dedup, "table ops"),
     "event_loop": (bench_event_loop, "events"),
+    "event_loop_until_event": (bench_event_loop_until_event, "events"),
     "million_event_fleet": (bench_million_event_fleet, "events"),
     "trace_synthesis": (bench_trace_synthesis, "arrivals"),
 }

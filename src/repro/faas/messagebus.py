@@ -87,7 +87,7 @@ class MessageBus:
         self, store: Store, topic: str, message: Any, delay_ms: float
     ) -> Generator:
         yield self.env.timeout(delay_ms)
-        store.put(message)
+        store.put_nowait(message)
         stats = self.stats[topic]
         stats.max_depth = max(stats.max_depth, len(store))
 
@@ -105,11 +105,16 @@ class MessageBus:
         stats.max_depth = max(stats.max_depth, len(store))
 
     def publish_nowait(self, topic: str, message: Any) -> None:
-        """Publish without yielding (unbounded topics never block)."""
+        """Publish without yielding (unbounded topics never block).
+
+        Nobody waits on the acceptance of a non-blocking publish, so
+        none is scheduled: the message goes straight to a waiting
+        consumer or onto the topic.
+        """
         if self._disrupted(topic, message):
             return
         store = self._topic(topic)
-        store.put(message)
+        store.put_nowait(message)
         stats = self.stats[topic]
         stats.published += 1
         stats.max_depth = max(stats.max_depth, len(store))

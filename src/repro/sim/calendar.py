@@ -1,8 +1,8 @@
 """Calendar (bucket) event queue tuned for FaaS timescales.
 
 The engine's schedule is dominated by two populations: *immediate*
-events (``delay == 0`` cascades — process resumes, succeeded events,
-interrupts) and *near-future* timeouts clustered within a few hundred
+events (``delay == 0`` cascades — succeeded events, finished
+processes) and *near-future* timeouts clustered within a few hundred
 milliseconds of the clock, with a thin tail of far-future outliers
 (idle-reap timers, experiment horizons).  A binary heap pays O(log n)
 per operation on all of them; at fleet scale (10^5-10^6 pending events)
@@ -11,26 +11,23 @@ cache.  A calendar queue [Brown 1988] instead spreads events over an
 array of fixed-width time buckets: insert is an O(1) append, and pops
 walk the current bucket in sorted order.
 
-:class:`CalendarQueue` keeps entries in five regions, popped by
+:class:`CalendarQueue` keeps entries in four regions, popped by
 comparing region heads (entries are ``(time, priority, eid, event)``
 tuples, so tuple comparison reproduces the heap's total order exactly):
 
-``_urgent``
-    delay-0 entries with ``URGENT`` priority, a FIFO deque.  Urgent
-    entries are only ever scheduled *at* the current instant, which
-    makes the head of this deque the global minimum whenever it is
-    non-empty (minimal time, minimal priority, FIFO eid) — the fastest
-    pop path in the structure.
 ``_immediate``
-    delay-0 entries with ``NORMAL`` priority, also FIFO.  These tie
+    delay-0 entries with ``NORMAL`` priority, a FIFO deque.  These tie
     with bucket/near entries at the same instant, so they are merged by
-    eid comparison rather than popped blindly.
+    eid comparison rather than popped blindly.  The engine appends to
+    it directly, so it is not counted in ``_size``.
 ``_near``
-    a small binary heap for entries that land at or before the end of
+    a small binary heap for entries whose bucket index is at or before
     the *active* bucket (the bucket the clock currently sits in).  The
     active bucket is already sorted, so late arrivals cannot be
     appended to it; routing them through a heap keeps insert O(log k)
-    for a k that is almost always tiny.
+    for a k that is almost always tiny.  Routing compares bucket
+    indices, never times against a bucket edge, so an entry exactly on
+    the edge lands where an earlier push of the same time did.
 ``_buckets``
     the calendar proper: ``nbuckets`` lists, bucket ``i`` covering
     ``[base + i*width, base + (i+1)*width)``.  Inserts append
@@ -51,8 +48,9 @@ amortized by the doubling/halving thresholds.
 
 The structure is engine-agnostic and fully deterministic: no RNG, no
 wall clock, and a pop order bit-identical to ``heapq`` over the same
-entries (:class:`HeapQueue` below is the reference oracle the model
-tests compare against).
+entries (the model tests compare it against a ``heapq`` oracle).  The
+engine keeps its ``URGENT`` events out of the queue altogether: they are
+always due at the current instant and ahead of every entry here.
 """
 
 from __future__ import annotations
@@ -101,11 +99,9 @@ class CalendarQueue:
         "_nbuckets",
         "_buckets",
         "_active",
-        "_active_end",
         "_base",
         "_near",
         "_overflow",
-        "_urgent",
         "_immediate",
         "_bi",
         "_size",
@@ -128,13 +124,12 @@ class CalendarQueue:
         self._buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
         self._base = float(start)
         self._active = 0
-        self._active_end = self._base + self._width
         self._near: List[Entry] = []
         self._overflow: List[Entry] = []
-        self._urgent: deque = deque()
         self._immediate: deque = deque()
         #: Read index into the (sorted) active bucket.
         self._bi = 0
+        #: Entries outside ``_immediate`` (near, buckets, overflow).
         self._size = 0
         #: Empty-bucket scans vs pops since the last resize — the
         #: occupancy-drift signal that triggers re-deriving the width.
@@ -142,27 +137,24 @@ class CalendarQueue:
         self._popped = 0
 
     def __len__(self) -> int:
-        return self._size
+        return self._size + len(self._immediate)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return self._size > 0 or bool(self._immediate)
 
     # -- insertion -----------------------------------------------------
     def push(self, entry: Entry, now: float) -> None:
         """Insert one entry; O(1) amortized."""
         t = entry[0]
-        self._size += 1
-        if t <= self._active_end:
-            if t == now:
-                # Delay-0 fast paths: the engine's dominant traffic.
-                if entry[1]:
-                    self._immediate.append(entry)
-                else:
-                    self._urgent.append(entry)
-            else:
-                heappush(self._near, entry)
+        if t == now and entry[1]:
+            # Delay-0 fast path: the engine's dominant traffic.
+            self._immediate.append(entry)
             return
+        self._size += 1
         idx = int((t - self._base) / self._width)
+        if idx <= self._active:
+            heappush(self._near, entry)
+            return
         if idx < self._nbuckets:
             self._buckets[idx].append(entry)
         else:
@@ -201,10 +193,15 @@ class CalendarQueue:
                 entries = list(merge(existing, entries))
             self._rebuild(entries, now)
             return
-        self._distribute_sorted(entries, now)
+        self._distribute_sorted(entries)
 
-    def _distribute_sorted(self, entries: List[Entry], now: float) -> None:
-        """Deal a sorted entry list into the regions (no resize check)."""
+    def _distribute_sorted(self, entries: List[Entry]) -> None:
+        """Deal a sorted entry list into the calendar regions.
+
+        No resize check, and nothing enters ``_immediate``: that FIFO
+        only ever holds entries pushed at the caller's clock, in push
+        order, and rebuilds leave it alone.
+        """
         run: List[Entry] = []
         run_idx = -1
         spill: List[Entry] = []
@@ -213,19 +210,12 @@ class CalendarQueue:
         nbuckets = self._nbuckets
         base = self._base
         width = self._width
-        active_end = self._active_end
+        active = self._active
         for pos, entry in enumerate(entries):
-            t = entry[0]
-            if t <= active_end:
-                if t == now:
-                    if entry[1]:
-                        self._immediate.append(entry)
-                    else:
-                        self._urgent.append(entry)
-                else:
-                    near_spill.append(entry)
+            idx = int((entry[0] - base) / width)
+            if idx <= active:
+                near_spill.append(entry)
                 continue
-            idx = int((t - base) / width)
             if idx >= nbuckets:
                 # Sorted input: everything from here on overflows.
                 spill = entries[pos:]
@@ -258,12 +248,6 @@ class CalendarQueue:
     def pop(self) -> Entry:
         """Remove and return the minimum entry; raises IndexError if empty."""
         while True:
-            urgent = self._urgent
-            if urgent:
-                # Urgent entries are scheduled at the current instant
-                # with the minimal priority: always the global minimum.
-                self._size -= 1
-                return urgent.popleft()
             immediate = self._immediate
             near = self._near
             bucket = self._buckets[self._active]
@@ -282,7 +266,6 @@ class CalendarQueue:
                     self._bi = bi + 1
                     self._size -= 1
                     return bucket[bi]
-                self._size -= 1
                 return immediate.popleft()
             if near:
                 nbest = near[0]
@@ -306,8 +289,6 @@ class CalendarQueue:
         May rotate the active-bucket cursor forward (and sort the bucket
         it lands on); that is invisible to pop order.
         """
-        if self._urgent:
-            return self._urgent[0]
         best: Optional[Entry] = None
         if self._immediate:
             best = self._immediate[0]
@@ -341,6 +322,10 @@ class CalendarQueue:
             del bucket[:]
             self._bi = 0
         scanned = 0
+        if self._size == len(self._overflow):
+            # Only far-future entries remain: skip the rest of this
+            # calendar year instead of walking its empty buckets.
+            self._rebase()
         while True:
             self._active += 1
             if self._active >= self._nbuckets:
@@ -348,9 +333,6 @@ class CalendarQueue:
                 continue
             bucket = self._buckets[self._active]
             if bucket:
-                self._active_end = self._base + self._width * (
-                    self._active + 1
-                )
                 bucket.sort()
                 self._bi = 0
                 break
@@ -387,17 +369,17 @@ class CalendarQueue:
             buckets[idx].append(entry)
 
     def _drain(self) -> List[Entry]:
-        """Remove and return every entry (unsorted)."""
-        entries: List[Entry] = list(self._urgent)
-        entries.extend(self._immediate)
-        entries.extend(self._near)
+        """Remove and return every calendar entry (unsorted).
+
+        ``_immediate`` is left in place: its FIFO order depends on no
+        bucket geometry.
+        """
+        entries: List[Entry] = list(self._near)
         entries.extend(self._overflow)
         bucket = self._buckets[self._active]
         entries.extend(bucket[self._bi :])
         for idx in range(self._active + 1, self._nbuckets):
             entries.extend(self._buckets[idx])
-        self._urgent.clear()
-        self._immediate.clear()
         self._near = []
         self._overflow = []
         return entries
@@ -415,9 +397,7 @@ class CalendarQueue:
         steps within [MIN_BUCKETS, MAX_BUCKETS]) and the width is
         re-derived so the *span* of pending event times maps onto the
         bucket array at ~:data:`TARGET_OCCUPANCY` entries per bucket.
-        Distribution is the bulk run-append pass, not per-entry pushes;
-        sorted input also re-enters the delay-0 deques in exact
-        ``(priority, eid)`` order.
+        Distribution is the bulk run-append pass, not per-entry pushes.
         """
         population = len(sorted_entries)
         nbuckets = self._nbuckets
@@ -431,12 +411,11 @@ class CalendarQueue:
         self._buckets = [[] for _ in range(nbuckets)]
         self._base = now
         self._active = 0
-        self._active_end = now + width
         self._bi = 0
         self._size = 0
         self._scanned = 0
         self._popped = 0
-        self._distribute_sorted(sorted_entries, now)
+        self._distribute_sorted(sorted_entries)
 
     def _estimate_width(self, entries: List[Entry], nbuckets: int) -> float:
         """Bucket width covering the pending span at target occupancy.
@@ -462,54 +441,11 @@ class CalendarQueue:
     def stats(self) -> dict:
         """Structure occupancy snapshot (diagnostics/tests only)."""
         return {
-            "size": self._size,
+            "size": len(self),
             "nbuckets": self._nbuckets,
             "width": self._width,
-            "urgent": len(self._urgent),
             "immediate": len(self._immediate),
             "near": len(self._near),
             "overflow": len(self._overflow),
         }
 
-
-class HeapQueue:
-    """The historical ``heapq`` event queue, kept as reference oracle.
-
-    Byte-for-byte the behaviour the engine shipped with through PR 8;
-    the calendar model tests and the zero-perturbation suite compare
-    against it, and ``Environment(queue="heap")`` still runs on it.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        width: float = 1.0,
-        nbuckets: int = MIN_BUCKETS,
-    ) -> None:
-        self._heap: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, entry: Entry, now: float) -> None:
-        heappush(self._heap, entry)
-
-    def push_sorted(self, entries: Iterable[Entry], now: float) -> None:
-        heap = self._heap
-        if heap:
-            heap.extend(entries)
-            heapify(heap)
-        else:
-            # Pre-sorted input is already a valid heap.
-            self._heap = list(entries)
-
-    def pop(self) -> Entry:
-        return heappop(self._heap)
-
-    def head(self) -> Optional[Entry]:
-        return self._heap[0] if self._heap else None

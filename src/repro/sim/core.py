@@ -11,21 +11,33 @@ The design mirrors simpy's public surface (``Environment.process``,
 that the component models in the rest of the package read naturally, but
 the implementation here is self-contained and dependency-free.
 
-Pending events live in a calendar/bucket queue (:mod:`repro.sim.calendar`)
-with O(1) amortized insert and pop at fleet scale; the historical
-``heapq`` backend remains selectable (``Environment(queue="heap")``) as
-the reference oracle — both pop in the exact same ``(time, priority,
-insertion id)`` order.  Bulk producers (trace replay, batched arrival
-injection) should prefer :meth:`Environment.schedule_batch` /
-:meth:`Environment.timeout_batch`, which insert N pre-sorted events in
-one queue pass.
+Every pending event is popped in the exact ``(time, priority, insertion
+id)`` total order.  The environment owns one calendar/bucket queue
+(:mod:`repro.sim.calendar`, O(1) amortized insert and pop at fleet
+scale) and keeps its hottest traffic out of it:
+
+* ``URGENT`` events (process starts, interrupts, resumes on events that
+  are already over) are always due *now* and ahead of everything else,
+  so they wait as bare events in a FIFO deque — no tuple, no insertion
+  id, no comparison.
+* Delay-0 ``NORMAL`` events (``succeed``, process completion) are
+  appended straight onto the queue's FIFO immediate region.
+
+Each ``run()`` mode is one fused loop: pop, advance the clock, run the
+callbacks, in a single frame per event.  Bulk producers (trace replay,
+batched arrival injection) should prefer
+:meth:`Environment.schedule_batch` / :meth:`Environment.timeout_batch`,
+which insert N pre-sorted events in one queue pass.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappush
 from typing import (
     Any,
     Callable,
+    Deque,
     Generator,
     Iterable,
     List,
@@ -34,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.sim.calendar import CalendarQueue, HeapQueue
+from repro.sim.calendar import GROW_FACTOR, MAX_BUCKETS, CalendarQueue
 
 #: Event priorities: interrupts must preempt normal callbacks scheduled
 #: for the same instant, so they are queued with ``URGENT`` priority.
@@ -63,10 +75,12 @@ class Interrupt(Exception):
 Interrupted = Interrupt
 
 
-# Event lifecycle states.
+# Event lifecycle states.  The engine compares them by identity.
 PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
+
+_new = object.__new__
 
 
 class Event:
@@ -95,32 +109,35 @@ class Event:
     # -- introspection ------------------------------------------------
     @property
     def triggered(self) -> bool:
-        return self._state != PENDING
+        return self._state is not PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state == PROCESSED
+        return self._state is PROCESSED
 
     @property
     def ok(self) -> bool:
-        if not self.triggered:
+        if self._state is PENDING:
             raise SimulationError("event value not yet available")
         return self._ok
 
     @property
     def value(self) -> Any:
-        if not self.triggered:
+        if self._state is PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
     # -- triggering ---------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._state is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        self._state = TRIGGERED
+        env = self.env
+        env._eid = eid = env._eid + 1
+        env._immediate.append((env.now, NORMAL, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -129,13 +146,16 @@ class Event:
         Any process waiting on the event will have the exception raised
         at its ``yield``.
         """
-        if self.triggered:
+        if self._state is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        self._state = TRIGGERED
+        env = self.env
+        env._eid = eid = env._eid + 1
+        env._immediate.append((env.now, NORMAL, eid, self))
         return self
 
     def __repr__(self) -> str:
@@ -143,35 +163,25 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` milliseconds in the future."""
+    """An event that triggers ``delay`` milliseconds in the future.
+
+    ``Timeout(env, delay, value)`` is :meth:`Environment.timeout`, which
+    builds and schedules the event in one frame.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Timeouts dominate the schedule; initialise flat (no super()
-        # chain) and go straight onto the queue already triggered.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._state = PENDING
-        self._defused = False
-        self.delay = delay
-        env._schedule(self, delay=delay)
+    def __new__(cls, env: "Environment", delay: float, value: Any = None):
+        return env.timeout(delay, value)
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None):
+        pass  # already built and scheduled by ``__new__``
 
 
 class Initialize(Event):
-    """Internal event used to start a freshly created process."""
+    """The urgent event that starts a freshly created process."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self.callbacks.append(process._resume)
-        env._schedule(self, priority=URGENT)
 
 
 class Process(Event):
@@ -191,24 +201,32 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
-        Initialize(env, self)
+        start = _new(Initialize)
+        start.env = env
+        start.callbacks = [self._resume]
+        start._value = None
+        start._ok = True
+        start._state = TRIGGERED
+        start._defused = False
+        env._urgent.append(start)
 
     @property
     def is_alive(self) -> bool:
-        return self._state == PENDING
+        return self._state is PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process as soon as possible."""
-        if not self.is_alive:
+        if self._state is not PENDING:
             raise SimulationError("cannot interrupt a finished process")
         if self._generator.gi_running:
             raise SimulationError("a process cannot interrupt itself")
         interruption = Event(self.env)
         interruption._ok = False
         interruption._value = Interrupt(cause)
+        interruption._state = TRIGGERED
         interruption._defused = True
         interruption.callbacks.append(self._resume)
-        self.env._schedule(interruption, priority=URGENT)
+        self.env._urgent.append(interruption)
 
     def cancel(self, cause: Any = None) -> bool:
         """Interrupt the process if it is still alive.
@@ -218,27 +236,28 @@ class Process(Event):
         running process) is a no-op rather than an error.  Returns
         whether an interrupt was actually delivered.
         """
-        if not self.is_alive or self._generator.gi_running:
+        if self._state is not PENDING or self._generator.gi_running:
             return False
         self.interrupt(cause)
         return True
 
     def _resume(self, event: Event) -> None:
-        if self._state != PENDING:
+        if self._state is not PENDING:
             # A late interrupt raced with completion (two cancellers at
             # the same instant): the generator already returned, so
             # there is nothing left to throw into.
             return
         # If we were interrupted while waiting, detach from the old target
         # so its eventual trigger does not resume us twice.
-        if self._target is not None and self._target is not event:
+        target = self._target
+        if target is not event and target is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._target = None
 
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -246,37 +265,41 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._state = TRIGGERED
+            env._active_process = None
             self._ok = True
-            self._value = getattr(stop, "value", None)
-            self.env._schedule(self)
-            return
+            self._value = stop.value
         except BaseException as exc:
-            self._state = TRIGGERED
+            env._active_process = None
             self._ok = False
             self._value = exc
-            self.env._schedule(self)
-            return
-        finally:
-            self.env._active_process = None
-
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process yielded non-event {next_event!r}; yield Event objects"
-            )
-        if next_event.processed:
-            # Already over: resume immediately (next loop iteration).
-            immediate = Event(self.env)
-            immediate._ok = next_event._ok
-            immediate._value = next_event._value
-            if not next_event._ok:
-                immediate._defused = True
-                next_event._defused = True
-            immediate.callbacks.append(self._resume)
-            self.env._schedule(immediate, priority=URGENT)
         else:
+            env._active_process = None
+            if not isinstance(next_event, Event):
+                raise SimulationError(
+                    f"process yielded non-event {next_event!r}; "
+                    f"yield Event objects"
+                )
+            if next_event._state is PROCESSED:
+                # Already over: resume at the head of the next iteration.
+                immediate = Event(env)
+                immediate._ok = next_event._ok
+                immediate._value = next_event._value
+                immediate._state = TRIGGERED
+                if not next_event._ok:
+                    immediate._defused = True
+                    next_event._defused = True
+                immediate.callbacks.append(self._resume)
+                env._urgent.append(immediate)
+                next_event = immediate
+            else:
+                next_event.callbacks.append(self._resume)
             self._target = next_event
-            next_event.callbacks.append(self._resume)
+            return
+        # The generator returned or raised: the process triggers now.
+        self._target = None
+        self._state = TRIGGERED
+        env._eid = eid = env._eid + 1
+        env._immediate.append((env.now, NORMAL, eid, self))
 
 
 class Condition(Event):
@@ -291,26 +314,29 @@ class Condition(Event):
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
-        self._outstanding = 0
-        for event in self._events:
+        self._events = events = list(events)
+        for event in events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
-        already_done = []
-        for event in self._events:
-            if event.processed:
-                already_done.append(event)
-            else:
-                self._outstanding += 1
-                event.callbacks.append(self._check)
-        for event in already_done:
-            self._check(event)
-        if not self._events and not self.triggered:
-            self.succeed(self._collect())
+        #: Components not yet seen processed; each decrements it once.
+        self._outstanding = len(events)
+        check = self._check
+        for event in events:
+            if event._state is not PROCESSED:
+                event.callbacks.append(check)
+        # Only once every pending component is subscribed: a condition
+        # settled here must still defuse their later failures.
+        for event in events:
+            if event._state is PROCESSED:
+                check(event)
+        if not events:
+            self.succeed({})
 
     def _collect(self) -> dict:
         return {
-            event: event._value for event in self._events if event.processed
+            event: event._value
+            for event in self._events
+            if event._state is PROCESSED
         }
 
     def _check(self, event: Event) -> None:
@@ -326,16 +352,13 @@ class AllOf(Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
         if not event._ok:
             event._defused = True
-            self.fail(event._value)
+            if self._state is PENDING:
+                self.fail(event._value)
             return
         self._outstanding -= 1
-        if self._outstanding <= 0 and all(e.processed for e in self._events):
+        if not self._outstanding and self._state is PENDING:
             self.succeed(self._collect())
 
 
@@ -345,50 +368,31 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
         if not event._ok:
             event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
-
-
-#: Selectable event-queue backends.  ``calendar`` (the default) is the
-#: O(1)-amortized bucket queue from :mod:`repro.sim.calendar`; ``heap``
-#: is the historical ``heapq`` implementation, kept as the reference
-#: oracle for the model/zero-perturbation tests.  Both produce the exact
-#: same pop order — entries are ``(time, priority, eid, event)`` tuples
-#: either way — so the choice is invisible to every experiment table.
-QUEUE_BACKENDS = {
-    "calendar": CalendarQueue,
-    "heap": HeapQueue,
-}
+            if self._state is PENDING:
+                self.fail(event._value)
+        elif self._state is PENDING:
+            self.succeed(self._collect())
 
 
 class Environment:
-    """The simulation clock and event queue."""
+    """The simulation clock and its pending events."""
 
-    def __init__(self, initial_time: float = 0.0, queue: str = "calendar") -> None:
-        self._now = float(initial_time)
-        backend = QUEUE_BACKENDS.get(queue)
-        if backend is None:
-            raise ValueError(
-                f"unknown queue backend {queue!r}; "
-                f"expected one of {sorted(QUEUE_BACKENDS)}"
-            )
-        self._queue_backend = queue
-        self._pending = backend(start=self._now)
+    def __init__(self, initial_time: float = 0.0) -> None:
+        #: Current simulated time in milliseconds.  A plain attribute,
+        #: not a property: models read it millions of times per sweep.
+        #: Only the engine advances it.
+        self.now = float(initial_time)
+        self._pending = CalendarQueue(start=self.now)
+        #: The queue's FIFO region for delay-0 NORMAL entries; triggered
+        #: events and finished processes are appended to it directly.
+        self._immediate = self._pending._immediate
+        #: URGENT events, due now ahead of everything else: bare events.
+        self._urgent: Deque[Event] = deque()
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -399,17 +403,44 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
-    @property
-    def queue_backend(self) -> str:
-        """Name of the event-queue backend (``calendar`` or ``heap``)."""
-        return self._queue_backend
-
     # -- factories ----------------------------------------------------
     def event(self) -> Event:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        """An event that triggers ``delay`` milliseconds from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        timeout = _new(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._ok = True
+        timeout._state = TRIGGERED
+        timeout._defused = False
+        timeout.delay = delay
+        self._eid = eid = self._eid + 1
+        now = self.now
+        if not delay:
+            self._immediate.append((now, NORMAL, eid, timeout))
+            return timeout
+        # CalendarQueue.push inlined for its non-immediate regions:
+        # timeouts are the engine's busiest insert.
+        when = now + delay
+        pending = self._pending
+        idx = int((when - pending._base) / pending._width)
+        pending._size = size = pending._size + 1
+        if idx <= pending._active:
+            heappush(pending._near, (when, NORMAL, eid, timeout))
+            return timeout
+        nbuckets = pending._nbuckets
+        if idx < nbuckets:
+            pending._buckets[idx].append((when, NORMAL, eid, timeout))
+        else:
+            heappush(pending._overflow, (when, NORMAL, eid, timeout))
+        if size > GROW_FACTOR * nbuckets and nbuckets < MAX_BUCKETS:
+            pending._resize(now)
+        return timeout
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -421,32 +452,20 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL
-    ) -> None:
-        if event._state == PENDING:
-            event._state = TRIGGERED
-        self._eid += 1
-        self._pending.push(
-            (self._now + delay, priority, self._eid, event), self._now
-        )
-
-    def schedule_batch(
-        self, items: Iterable[Tuple[float, Event]], priority: int = NORMAL
-    ) -> None:
+    def schedule_batch(self, items: Iterable[Tuple[float, Event]]) -> None:
         """Schedule pre-triggered events at ascending absolute times.
 
         ``items`` yields ``(when, event)`` pairs sorted by ``when``
         ascending, with every ``when >= now``.  The batch is inserted in
         one queue pass, assigning insertion ids in iteration order — so
         the resulting schedule is exactly what N sequential
-        ``_schedule(event, delay=when - now)`` calls would have built,
-        at a fraction of the cost.
+        single-event schedules at ``when - now`` would have built, at a
+        fraction of the cost.
 
         The events must already carry their value/outcome (like a
         Timeout does); the engine will fire them as-is.
         """
-        now = self._now
+        now = self.now
         eid = self._eid
         entries: List[Tuple[float, int, int, Event]] = []
         append = entries.append
@@ -458,10 +477,10 @@ class Environment:
                     f"(got {when} after {last})"
                 )
             last = when
-            if event._state == PENDING:
+            if event._state is PENDING:
                 event._state = TRIGGERED
             eid += 1
-            append((when, priority, eid, event))
+            append((when, NORMAL, eid, event))
         self._eid = eid
         self._pending.push_sorted(entries, now)
 
@@ -483,13 +502,12 @@ class Environment:
         callback — the same effect as appending it to every returned
         timeout, without a second million-element pass at fleet scale.
         """
-        now = self._now
+        now = self.now
         eid = self._eid
         timeouts: List[Timeout] = []
         entries: List[Tuple[float, int, int, Event]] = []
         t_append = timeouts.append
         e_append = entries.append
-        t_new = Timeout.__new__
         prev = 0.0
         for delay in delays:
             if delay < prev:
@@ -500,7 +518,7 @@ class Environment:
                     f"(got {delay} after {prev})"
                 )
             prev = delay
-            timeout = t_new(Timeout)
+            timeout = _new(Timeout)
             timeout.env = self
             timeout.callbacks = [] if callback is None else [callback]
             timeout._value = value
@@ -517,16 +535,20 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._urgent:
+            return self.now
         head = self._pending.head()
         return head[0] if head is not None else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
-        try:
-            when, _priority, _eid, event = self._pending.pop()
-        except IndexError:
-            raise SimulationError("event queue is empty") from None
-        self._now = when
+        if self._urgent:
+            event = self._urgent.popleft()
+        else:
+            try:
+                self.now, _, _, event = self._pending.pop()
+            except IndexError:
+                raise SimulationError("event queue is empty") from None
         self._events_processed += 1
         callbacks, event.callbacks = event.callbacks, []
         event._state = PROCESSED
@@ -546,53 +568,104 @@ class Environment:
         ``limit`` bounds the number of events processed by this call —
         a guard against accidentally unbounded simulations (e.g. a
         monitor process that never stops).
-        """
-        # The budget check is inlined into each loop (no closure call on
-        # the per-event hot path).
-        budget = limit if limit is not None else -1
-        pending = self._pending
-        step = self.step
 
-        if until is None:
-            while pending:
-                if budget == 0:
-                    raise SimulationError(
-                        f"event limit of {limit} reached at t={self._now}"
-                    )
-                budget -= 1
-                step()
-            return None
+        Each mode is one loop with :meth:`step`'s body inlined: urgent
+        events pop straight off their deque, the rest off the calendar
+        queue, and the processed count is written back once, in a
+        ``finally``, so it stays exact when a callback raises.
+        """
+        budget = limit if limit is not None else -1
+        count = 0
+        urgent = self._urgent
+        popleft = urgent.popleft
+        pending = self._pending
+        pop = pending.pop
 
         if isinstance(until, Event):
-            while not until.processed:
-                if not pending:
-                    raise SimulationError(
-                        "event queue empty before target event triggered"
-                    )
-                if budget == 0:
-                    raise SimulationError(
-                        f"event limit of {limit} reached at t={self._now}"
-                    )
-                budget -= 1
-                step()
+            try:
+                while until._state is not PROCESSED:
+                    if count == budget and (urgent or pending):
+                        raise SimulationError(
+                            f"event limit of {limit} reached at t={self.now}"
+                        )
+                    if urgent:
+                        event = popleft()
+                    else:
+                        try:
+                            self.now, _, _, event = pop()
+                        except IndexError:
+                            raise SimulationError(
+                                "event queue empty before target event "
+                                "triggered"
+                            ) from None
+                    count += 1
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    event._state = PROCESSED
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        if event is not until:
+                            raise event._value
+            finally:
+                self._events_processed += count
             if not until._ok:
                 until._defused = True
                 raise until._value
             return until._value
 
+        if until is None:
+            try:
+                while True:
+                    if count == budget and (urgent or pending):
+                        raise SimulationError(
+                            f"event limit of {limit} reached at t={self.now}"
+                        )
+                    if urgent:
+                        event = popleft()
+                    else:
+                        try:
+                            self.now, _, _, event = pop()
+                        except IndexError:
+                            return None
+                    count += 1
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    event._state = PROCESSED
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
+            finally:
+                self._events_processed += count
+
         deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(f"until={deadline} is in the past (now={self._now})")
+        if deadline < self.now:
+            raise ValueError(f"until={deadline} is in the past (now={self.now})")
         head = pending.head
-        while True:
-            entry = head()
-            if entry is None or entry[0] > deadline:
-                break
-            if budget == 0:
-                raise SimulationError(
-                    f"event limit of {limit} reached at t={self._now}"
-                )
-            budget -= 1
-            step()
-        self._now = deadline
+        try:
+            while True:
+                if not urgent:
+                    entry = head()
+                    if entry is None or entry[0] > deadline:
+                        break
+                if count == budget:
+                    raise SimulationError(
+                        f"event limit of {limit} reached at t={self.now}"
+                    )
+                if urgent:
+                    event = popleft()
+                else:
+                    self.now, _, _, event = pop()
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = []
+                event._state = PROCESSED
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            self._events_processed += count
+        self.now = deadline
         return None

@@ -13,6 +13,8 @@ from typing import Any, Deque, Iterable, List
 
 from repro.sim.core import Environment, Event, SimulationError
 
+_UNBOUNDED = float("inf")
+
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
@@ -83,7 +85,9 @@ class Store:
     """An unbounded (or bounded) FIFO queue of items.
 
     ``put`` returns an event that triggers when the item is accepted;
-    ``get`` returns an event that triggers with the next item.
+    ``get`` returns an event that triggers with the next item.  On an
+    unbounded store, :meth:`put_nowait` inserts without the acceptance
+    event when nobody waits on it.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -111,26 +115,33 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def put_nowait_batch(self, items: Iterable[Any]) -> int:
-        """Bulk insert without per-item acceptance events.
+    def put_nowait(self, item: Any) -> None:
+        """Insert ``item`` without an acceptance event.
 
-        The batched-producer fast path: waiting getters are served
-        first (their events trigger as usual), the remainder lands in
-        ``items`` in one ``extend`` — zero events scheduled for it.
-        Only legal on an unbounded store, where ``put`` can never
-        block, so dropping the acceptance events loses nothing.
-        Returns the number of items inserted.
+        The unobserved-put fast path: a waiting getter is served first
+        (its event triggers as usual), otherwise the item lands in
+        ``items`` — no event is scheduled for the put itself.  Only
+        legal on an unbounded store, where ``put`` can never block, so
+        dropping the acceptance event loses nothing.
         """
-        if self.capacity != float("inf"):
-            raise SimulationError(
-                "put_nowait_batch requires an unbounded store"
-            )
-        pending = deque(items)
-        count = len(pending)
-        while self._getters and pending:
-            self._getters.popleft().succeed(pending.popleft())
-        if pending:
-            self.items.extend(pending)
+        if self.capacity != _UNBOUNDED:
+            raise SimulationError("put_nowait requires an unbounded store")
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+
+    def put_nowait_batch(self, items: Iterable[Any]) -> int:
+        """:meth:`put_nowait` each of ``items`` in order.
+
+        The batched-producer form; returns the number of items
+        inserted.
+        """
+        put = self.put_nowait
+        count = 0
+        for item in items:
+            put(item)
+            count += 1
         return count
 
     def get(self) -> Event:

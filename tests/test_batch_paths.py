@@ -293,15 +293,55 @@ class TestFleetDrivers:
         assert batched.events_per_arrival < 2.5
 
     def test_batched_same_on_both_backends(self):
+        """The batched driver's schedule, replayed at the queue level,
+        pops identically from the calendar queue and the heap oracle,
+        and the engine's run of it agrees with that replay."""
         from repro.sim import Environment
+        from repro.sim.calendar import CalendarQueue
         from repro.workload.fleet import run_batched
+        from tests.heap_oracle import HeapQueue
 
         workload = self._workload(1_500)
-        calendar = run_batched(workload, Environment(queue="calendar"))
-        heap = run_batched(workload, Environment(queue="heap"))
-        assert calendar.function_counts == heap.function_counts
-        assert calendar.final_ms == heap.final_ms
-        assert calendar.engine_events == heap.engine_events
+        config = workload.config
+        times = workload.arrival_times_ms
+        services = workload.service_times_ms
+        calendar, heap = CalendarQueue(), HeapQueue()
+        now, eid, pops = 0.0, 0, 0
+        for start in range(0, config.arrivals, config.epoch_size):
+            end = min(start + config.epoch_size, config.arrivals)
+            chunk = times[start:end]
+            finish_deltas = sorted(
+                t + s - now for t, s in zip(chunk, services[start:end])
+            )
+            for deltas in ([t - now for t in chunk], finish_deltas):
+                batch = []
+                for delay in deltas:
+                    eid += 1
+                    batch.append((now + delay, 1, eid, None))
+                calendar.push_sorted(batch, now)
+                heap.push_sorted(list(batch), now)
+                if deltas is not finish_deltas:
+                    last_arrival = batch[-1]
+            while True:  # the driver wakes on its epoch's last arrival
+                entry = heap.pop()
+                assert calendar.pop() is entry
+                pops += 1
+                now = entry[0]
+                if entry is last_arrival:
+                    break
+        while heap:
+            entry = heap.pop()
+            assert calendar.pop() is entry
+            pops += 1
+            now = entry[0]
+        assert not calendar
+
+        stats = run_batched(workload, Environment())
+        assert pops == 2 * config.arrivals
+        # Plus the driver process's start and completion events.
+        assert stats.engine_events == pops + 2
+        assert stats.final_ms == now
+        assert sum(stats.function_counts) == config.arrivals
 
     def test_fleet_experiment_registered_and_deterministic(self):
         from repro.experiments import load_all

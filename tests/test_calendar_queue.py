@@ -5,7 +5,10 @@ same ``(time, priority, eid)`` total order, same object identity —
 under adversarial schedules: same-tick bursts, URGENT/NORMAL mixes,
 exponential near-future traffic, far-future outliers that land in the
 overflow heap, and population swings that force resizes and rebases.
-Every test is seeded; failures reproduce deterministically.
+The oracles (``heapq`` itself, :class:`tests.heap_oracle.HeapQueue` and
+the :class:`tests.heap_oracle.HeapEngine` reference engine) live under
+``tests/``; the engine runs on the calendar queue alone.  Every test is
+seeded; failures reproduce deterministically.
 """
 
 import heapq
@@ -14,12 +17,8 @@ import random
 import pytest
 
 from repro.sim import Environment
-from repro.sim.calendar import (
-    GROW_FACTOR,
-    MIN_BUCKETS,
-    CalendarQueue,
-    HeapQueue,
-)
+from repro.sim.calendar import GROW_FACTOR, MIN_BUCKETS, CalendarQueue
+from tests.heap_oracle import HeapEngine, HeapQueue
 
 SEEDS = [1, 7, 42, 1337, 0xF1EE7]
 
@@ -28,8 +27,8 @@ def _push_random(rng, ref, q, now, eid):
     """Push one entry drawn from the adversarial time mix into both."""
     roll = rng.random()
     if roll < 0.25:
-        # Delay-0 burst, URGENT/NORMAL mixed — the engine only ever
-        # schedules URGENT at the current instant, so the model does too.
+        # Delay-0 burst, priorities 0/1 mixed: priority-0 entries at the
+        # current instant take the near heap, priority-1 the FIFO.
         t, p = now, (0 if rng.random() < 0.5 else 1)
     elif roll < 0.55:
         t, p = now, 1
@@ -161,7 +160,7 @@ class TestModelVsHeapOracle:
             CalendarQueue(nbuckets=0)
 
     def test_heap_backend_is_a_faithful_oracle(self):
-        """HeapQueue is the committed reference: plain heapq semantics."""
+        """HeapQueue (tests/heap_oracle.py) is plain heapq semantics."""
         q = HeapQueue()
         entries = [(3.0, 1, 2, None), (1.0, 1, 1, None), (2.0, 0, 3, None)]
         for entry in entries:
@@ -173,21 +172,120 @@ class TestModelVsHeapOracle:
 
     def test_stats_snapshot_accounts_for_all_regions(self):
         q = CalendarQueue(start=0.0, width=0.5, nbuckets=MIN_BUCKETS)
-        q.push((0.0, 0, 1, None), 0.0)   # urgent
+        q.push((0.0, 0, 1, None), 0.0)   # near (priority 0 at now)
         q.push((0.0, 1, 2, None), 0.0)   # immediate
         q.push((0.25, 1, 3, None), 0.0)  # near (inside active bucket)
         q.push((10.0, 1, 4, None), 0.0)  # calendar bucket
         q.push((1e9, 1, 5, None), 0.0)   # overflow
         stats = q.stats
         assert stats["size"] == len(q) == 5
-        assert stats["urgent"] == 1
         assert stats["immediate"] == 1
-        assert stats["near"] == 1
+        assert stats["near"] == 2
         assert stats["overflow"] == 1
+
+    def test_entry_on_active_bucket_edge_keeps_eid_order(self):
+        """A push landing exactly on the active bucket's end must not
+        overtake an earlier entry of the same time in the next bucket."""
+        q = CalendarQueue(start=0.0, width=1.0, nbuckets=MIN_BUCKETS)
+        oracle = HeapQueue()
+        first = (2.0, 1, 1, "first")   # pushed early: bucket 2
+        for entry, now in [(first, 0.0), ((1.5, 1, 2, "b"), 0.0)]:
+            q.push(entry, now)
+            oracle.push(entry, now)
+        assert q.pop() is oracle.pop()  # clock 1.5, bucket 1 active
+        late = (2.0, 1, 3, "late")      # same time, later eid
+        q.push(late, 1.5)
+        oracle.push(late, 1.5)
+        assert [q.pop(), q.pop()] == [oracle.pop(), oracle.pop()]
+        assert not q
+
+    def test_resize_during_head_keeps_delay_zero_fifo(self):
+        """A resize that ``head()`` triggers while the clock lags the
+        calendar must not put future entries in the delay-0 FIFO."""
+        q = CalendarQueue(start=0.0, width=1.0, nbuckets=MIN_BUCKETS)
+        oracle = HeapQueue()
+
+        def push(entry, now):
+            q.push(entry, now)
+            oracle.push(entry, now)
+
+        def pop():
+            entry = oracle.pop()
+            assert q.pop() is entry
+            return entry[0]
+
+        push((0.5, 1, 1, None), 0.0)
+        push((255.0, 1, 2, None), 0.0)
+        pop()
+        now = pop()  # walked 254 empty buckets
+        push((300.0, 1, 3, None), now)
+        push((511.0, 1, 4, None), now)
+        now = pop()
+        # Walking to t=511 crosses the scan threshold and resizes.
+        assert q.head() is oracle.head()
+        push((now, 1, 5, None), now)
+        assert [pop(), pop()] == [300.0, 511.0]
+        assert not q
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_push_sorted_and_pop_sequences_match_heap_oracle(self, seed):
+        """Random singles, ``push_sorted`` batches and pops interleaved:
+        the calendar queue and HeapQueue pop the identical sequence.
+
+        Times sit on a coarse grid so ties and bucket-edge times are
+        common; a final large batch forces a resize mid-drain.
+        """
+        rng = random.Random(seed)
+        q = CalendarQueue(start=0.0, width=1.0, nbuckets=MIN_BUCKETS)
+        oracle = HeapQueue()
+        now = 0.0
+        eid = 0
+
+        def push_batch(size):
+            nonlocal eid
+            batch = []
+            for t in sorted(
+                now + rng.randrange(0, 4_000) * 0.25 for _ in range(size)
+            ):
+                eid += 1
+                batch.append((t, 1, eid, None))
+            q.push_sorted(batch, now)
+            oracle.push_sorted(batch, now)
+
+        def pop_one():
+            nonlocal now
+            if rng.random() < 0.1:
+                assert q.head() is oracle.head()
+            popped = oracle.pop()
+            assert q.pop() is popped
+            now = popped[0]
+
+        for _ in range(4_000):
+            roll = rng.random()
+            if roll < 0.45:
+                eid += 1
+                if rng.random() < 0.3:
+                    entry = (now, 1, eid, None)
+                else:
+                    entry = (now + rng.randrange(1, 40) * 0.25, 1, eid, None)
+                q.push(entry, now)
+                oracle.push(entry, now)
+            elif roll < 0.50:
+                push_batch(rng.randrange(1, 60))
+            elif oracle:
+                pop_one()
+            assert len(q) == len(oracle)
+        push_batch(GROW_FACTOR * MIN_BUCKETS * 3)
+        assert q.stats["nbuckets"] > MIN_BUCKETS
+        while oracle:
+            pop_one()
+        assert not q
 
 
 class TestEnvironmentBackendEquivalence:
-    """The same seeded workload on ``calendar`` and ``heap`` engines."""
+    """The same seeded workload on the calendar engine and on
+    :class:`tests.heap_oracle.HeapEngine`, a heap-ordered reference
+    engine with the same scheduling rules."""
 
     @staticmethod
     def _workload(env, rng, log):
@@ -209,33 +307,50 @@ class TestEnvironmentBackendEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_events_processed_and_trace_identical(self, seed):
         logs = {}
-        envs = {}
-        for backend in ("calendar", "heap"):
-            env = Environment(queue=backend)
+        envs = {"calendar": Environment(), "heap": HeapEngine()}
+        for backend, env in envs.items():
             log = []
             self._workload(env, random.Random(seed), log)
             logs[backend] = log
-            envs[backend] = env
         assert logs["calendar"] == logs["heap"]
+        assert len(logs["calendar"]) > 1_000
         assert (
             envs["calendar"].events_processed
             == envs["heap"].events_processed
         )
         assert envs["calendar"].now == envs["heap"].now
 
-    def test_queue_backend_property_and_unknown_backend(self):
-        assert Environment().queue_backend == "calendar"
-        assert Environment(queue="heap").queue_backend == "heap"
-        with pytest.raises(ValueError, match="unknown queue backend"):
-            Environment(queue="skiplist")
+    def test_environment_has_one_queue(self):
+        """The engine owns its calendar queue; there is no backend knob."""
+        env = Environment()
+        assert isinstance(env._pending, CalendarQueue)
+        with pytest.raises(TypeError):
+            Environment(queue="heap")
+
+
+#: The engine's calendar queue and the heap oracle, for queue-level
+#: checks both must pass.
+QUEUES = pytest.mark.parametrize(
+    "queue_cls", [CalendarQueue, HeapQueue], ids=["calendar", "heap"]
+)
 
 
 class TestBatchScheduling:
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_timeout_batch_equals_sequential_timeouts(self, backend):
+    @QUEUES
+    def test_timeout_batch_equals_sequential_timeouts(self, queue_cls):
         delays = [0.0, 0.0, 0.5, 0.5, 1.25, 7.0, 7.0, 9_999.0]
-        batch_env = Environment(queue=backend)
-        seq_env = Environment(queue=backend)
+        # Queue level: one batch of entries, bulk or one by one, pops
+        # in the same order.
+        entries = [(d, 1, eid, None) for eid, d in enumerate(delays, 1)]
+        bulk, single = queue_cls(), queue_cls()
+        bulk.push_sorted(entries, 0.0)
+        for entry in entries:
+            single.push(entry, 0.0)
+        assert [bulk.pop() for _ in delays] == entries
+        assert [single.pop() for _ in delays] == entries
+        # Engine level: timeout_batch equals sequential timeouts.
+        batch_env = Environment()
+        seq_env = Environment()
         batch_log, seq_log = [], []
         timeouts = batch_env.timeout_batch(delays, value="v")
         for i, timeout in enumerate(timeouts):
@@ -265,7 +380,7 @@ class TestBatchScheduling:
         """Batch entries tie-break against singles exactly by creation order."""
         log = []
         for batched in (False, True):
-            env = Environment(queue="calendar" if batched else "heap")
+            env = Environment()
             order = []
             a = env.timeout(1.0, value="a")
             if batched:
@@ -279,9 +394,19 @@ class TestBatchScheduling:
             log.append(order)
         assert log[0] == log[1] == ["a", "b", "c", "d"]
 
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_schedule_batch_fires_pretriggered_events(self, backend):
-        env = Environment(queue=backend)
+    @QUEUES
+    def test_schedule_batch_fires_pretriggered_events(self, queue_cls):
+        # Queue level: a pre-sorted batch landing on a non-empty queue
+        # merges with it in (time, priority, eid) order.
+        queue = queue_cls()
+        early, late = (1.0, 1, 1, "early"), (9.0, 1, 2, "late")
+        queue.push(early, 0.0)
+        queue.push(late, 0.0)
+        batch = [(2.0, 1, 3, "x"), (2.0, 1, 4, "y"), (5.0, 1, 5, "z")]
+        queue.push_sorted(batch, 0.0)
+        assert [queue.pop() for _ in range(5)] == [early, *batch, late]
+        # Engine level: schedule_batch fires pre-triggered events as-is.
+        env = Environment()
         events = []
         for value in ("x", "y", "z"):
             event = env.event()

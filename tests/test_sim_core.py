@@ -103,6 +103,17 @@ class TestTimeout:
         assert order == ["x", "y", "z"]
 
 
+    def test_direct_construction_is_env_timeout(self, env):
+        fired = []
+        timeout = Timeout(env, 4.0, value="v")
+        timeout.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
+        assert timeout.triggered and timeout.delay == 4.0
+        env.run()
+        assert fired == [(4.0, "v")]
+        with pytest.raises(ValueError, match="negative delay"):
+            Timeout(env, -1.0)
+
+
 class TestEvent:
     def test_succeed_delivers_value(self, env):
         event = env.event()
@@ -406,3 +417,140 @@ class TestRunUntilEvent:
         env.run()
         assert done == [True]
         assert env.now == 10.0
+
+
+class TestAllOfWithProcessedComponents:
+    def test_mixed_components_trigger_once_on_last_pending(self, env):
+        done = env.timeout(1, value="done")
+        env.run(until=2.0)
+        assert done.processed
+        slow = env.timeout(5, value="slow")
+        fast = env.timeout(3, value="fast")
+        condition = AllOf(env, [done, slow, fast])
+        fired = []
+        condition.callbacks.append(
+            lambda ev: fired.append((env.now, dict(ev.value)))
+        )
+        env.run()
+        assert fired == [
+            (7.0, {done: "done", slow: "slow", fast: "fast"})
+        ]
+        # Only the two pending components were ever outstanding.
+        assert condition._outstanding == 0
+
+    def test_all_processed_components_trigger_immediately(self, env):
+        first, second = env.timeout(1, value=1), env.timeout(2, value=2)
+        env.run()
+        condition = AllOf(env, [first, second])
+        assert condition._outstanding == 0
+        env.run()
+        assert condition.processed
+        assert condition.value == {first: 1, second: 2}
+        assert env.now == 2.0
+
+    def test_processed_failure_fails_the_condition(self, env):
+        failed = env.event()
+        failed.fail(RuntimeError("early"))
+        failed._defused = True
+        env.run()
+        pending = env.timeout(5)
+        condition = AllOf(env, [pending, failed])
+        with pytest.raises(RuntimeError, match="early"):
+            env.run(until=condition)
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize("mode", ["drain", "time", "event"])
+    def test_events_processed_exact_when_callback_raises(self, env, mode):
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
+
+        def explode(ev):
+            raise KeyError("callback")
+
+        env._pending.head()  # rotating the calendar must not matter
+        env.timeout(2.0).callbacks.append(explode)
+        until = {"drain": None, "time": 10.0, "event": env.event()}[mode]
+        with pytest.raises(KeyError):
+            env.run(until=until)
+        # Events at t=1 and t=2 ran, and the failing one counts too.
+        assert fired == [1.0, 2.0]
+        assert env.events_processed == 3
+        env.run()
+        assert fired == [1.0, 2.0, 3.0]
+        assert env.events_processed == 4
+
+    def test_limit_message_identical_in_all_run_modes(self):
+        messages = []
+        for until in (None, 1_000.0, "event"):
+            env = Environment()
+
+            def ticker():
+                while True:
+                    yield env.timeout(1.0)
+
+            env.process(ticker())
+            with pytest.raises(SimulationError) as excinfo:
+                env.run(
+                    until=env.event() if until == "event" else until,
+                    limit=10,
+                )
+            messages.append(str(excinfo.value))
+            assert env.events_processed == 10
+        assert messages == ["event limit of 10 reached at t=9.0"] * 3
+
+    def test_limit_does_not_mask_empty_queue(self, env):
+        with pytest.raises(SimulationError, match="queue empty"):
+            env.run(until=env.event(), limit=0)
+        assert env.run(limit=0) is None
+
+    def test_failed_until_event_is_reraised_and_defused(self, env):
+        def doomed():
+            yield env.timeout(4)
+            raise RuntimeError("doomed")
+
+        process = env.process(doomed())
+        with pytest.raises(RuntimeError, match="doomed"):
+            env.run(until=process)
+        assert process._defused
+        assert env.now == 4.0
+        # Waiting on the failed event again re-raises it, still defused.
+        with pytest.raises(RuntimeError, match="doomed"):
+            env.run(until=process)
+        env.run()  # nothing left undefused
+
+    def test_failed_until_event_defused_by_a_waiter(self, env):
+        event = env.event()
+        caught = []
+
+        def waiter():
+            try:
+                yield event
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        env.process(waiter())
+        env.run()
+        event.fail(ValueError("bad"))
+        with pytest.raises(ValueError, match="bad"):
+            env.run(until=event)
+        assert event._defused
+        assert caught == ["bad"]
+
+    def test_urgent_events_bypass_the_calendar(self, env):
+        """Process starts and interrupts are bare urgent events; a
+        delay-0 timeout created first still runs after them."""
+        order = []
+        timeout = env.timeout(0)
+        timeout.callbacks.append(lambda ev: order.append("timeout"))
+
+        def proc():
+            order.append("start")
+            yield env.timeout(0)
+
+        env.process(proc())
+        assert len(env._urgent) == 1
+        assert env.peek() == 0.0
+        env.run()
+        assert order == ["start", "timeout"]

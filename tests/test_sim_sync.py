@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 class TestResource:
@@ -171,3 +171,49 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
+
+
+class TestPutNowait:
+    def test_serves_waiting_getters_fifo_then_queues(self, env):
+        store = Store(env)
+        first, second = store.get(), store.get()
+        store.put_nowait("a")
+        store.put_nowait("b")
+        store.put_nowait("c")
+        env.run()
+        assert (first.value, second.value) == ("a", "b")
+        assert list(store.items) == ["c"]
+        # Only the two getters fired: the puts scheduled nothing.
+        assert env.events_processed == 2
+
+    def test_rejects_bounded_store(self, env):
+        with pytest.raises(SimulationError, match="unbounded"):
+            Store(env, capacity=3).put_nowait("x")
+
+
+class TestPublishNowait:
+    def test_hands_message_to_waiting_consumer_fifo_first(self, env):
+        from repro.faas.messagebus import MessageBus
+
+        bus = MessageBus(env)
+        got = []
+
+        def consumer(tag):
+            got.append((tag, (yield bus.consume("invoke")), env.now))
+
+        env.process(consumer("c1"))
+        env.process(consumer("c2"))
+        env.run()  # both consumers now wait on the topic
+        processed = env.events_processed
+        bus.publish_nowait("invoke", "m1")
+        bus.publish_nowait("invoke", "m2")
+        bus.publish_nowait("invoke", "m3")
+        # Two getter events and nothing for the publishes themselves.
+        assert len(env._immediate) == 2
+        env.run()
+        assert got == [("c1", "m1", 0.0), ("c2", "m2", 0.0)]
+        assert bus.depth("invoke") == 1
+        stats = bus.stats["invoke"]
+        assert (stats.published, stats.consumed, stats.max_depth) == (3, 2, 1)
+        # Each getter event resumes its consumer, which then finishes.
+        assert env.events_processed - processed == 4
