@@ -1,32 +1,29 @@
-"""Fleet-scale engine economics: events per invocation, by driver.
+"""Fleet-scale engine economics: events per invocation.
 
 Not a paper table — an engineering experiment for the fleet-scale
 directions on the ROADMAP (Azure-style trace replay over 100k-1M
-functions, Lithops-style fan-out).  It runs the same pre-generated
-Zipf fleet workload (:mod:`repro.workload.fleet`) through the legacy
-per-arrival-process driver and the batched-injection driver and tables
-the *deterministic* cost model: engine events consumed per invocation,
-completions, and the simulated makespan.  Wall-clock throughput for the
-same workload is measured by ``benchmarks/perf_gate.py``
-(``million_event_fleet``) against ``benchmarks/fleet_heap_baseline.json``;
-this table pins the part that must never drift: both drivers observe
-identical arrivals, completions and clock, and batching halves the
-engine events.
+functions, Lithops-style fan-out).  It runs a pre-generated Zipf fleet
+workload (:mod:`repro.workload.fleet`) through the batched-injection
+driver and tables the *deterministic* cost model: engine events
+consumed per invocation, completions, and the simulated makespan.
+Wall-clock throughput for the same workload is measured by
+``benchmarks/perf_gate.py`` (``million_event_fleet``) against
+``benchmarks/fleet_heap_baseline.json``; this table pins the part that
+must never drift.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, ExperimentSpec, registry
 from repro.sim import Environment
-from repro.workload.fleet import DRIVERS, FleetConfig, generate
+from repro.workload.fleet import FleetConfig, generate, run_batched
 
 
 def run_fleet(arrivals: int = 100_000, seed: int = 0xF1EE7) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fleet",
-        title="Fleet-scale engine events per invocation, by driver",
+        title="Fleet-scale engine events per invocation",
         headers=[
-            "driver",
             "arrivals",
             "engine events",
             "events/arrival",
@@ -36,29 +33,16 @@ def run_fleet(arrivals: int = 100_000, seed: int = 0xF1EE7) -> ExperimentResult:
         ],
     )
     workload = generate(FleetConfig(arrivals=arrivals, seed=seed))
-    baseline = None
-    for name, driver in DRIVERS.items():
-        stats = driver(workload, Environment())
-        if baseline is None:
-            baseline = stats
-        else:
-            # Both drivers must observe the identical workload.
-            assert stats.function_counts == baseline.function_counts
-            assert stats.final_ms == baseline.final_ms
-            assert stats.completions == baseline.completions
-        result.add_row(
-            name,
-            stats.arrivals,
-            stats.engine_events,
-            round(stats.events_per_arrival, 3),
-            stats.completions,
-            round(stats.final_ms, 3),
-            round(stats.head_share, 4),
-        )
-    result.add_note(
-        "same seeded workload vectors for both drivers: identical "
-        "per-function counts, completions and makespan — only the "
-        "engine-event cost differs"
+    stats = run_batched(workload, Environment())
+    # Every arrival completes: the ledger must balance.
+    assert stats.completions == stats.arrivals
+    result.add_row(
+        stats.arrivals,
+        stats.engine_events,
+        round(stats.events_per_arrival, 3),
+        stats.completions,
+        round(stats.final_ms, 3),
+        round(stats.head_share, 4),
     )
     result.add_note(
         "wall-clock throughput for this workload is gated by "
@@ -71,7 +55,7 @@ def run_fleet(arrivals: int = 100_000, seed: int = 0xF1EE7) -> ExperimentResult:
 SPEC = registry.register(
     ExperimentSpec(
         experiment_id="fleet",
-        title="Fleet-scale engine events per invocation, by driver",
+        title="Fleet-scale engine events per invocation",
         entry=run_fleet,
         profiles={
             "full": {},

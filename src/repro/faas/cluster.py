@@ -256,19 +256,6 @@ class FaasCluster:
             return self.control_plane.invoke(fn)
         return self.env.process(self.controller.invoke(fn))
 
-    def invoke_batch(self, fns: Iterable[FunctionSpec]) -> List[Process]:
-        """Start a same-tick volley of invocations.
-
-        On an unsharded cluster the volley shares one pre-node dispatch
-        tick (:meth:`Controller.invoke_batch`); on a sharded control
-        plane requests hash to different shards, so they dispatch
-        individually — same results either way.
-        """
-        fns = list(fns)
-        if self.control_plane is not None:
-            return [self.control_plane.invoke(fn) for fn in fns]
-        return self.controller.invoke_batch(fns)
-
     def invoke_sync(self, fn: FunctionSpec) -> InvocationResult:
         """Invoke and drive the simulation until the result is ready."""
         return self.env.run(until=self.invoke(fn))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional
 
 from repro.costs import PlatformCostModel
 from repro.errors import (
@@ -341,34 +341,10 @@ class Controller:
         return backoff_spent + next_backoff <= self.retries.budget_ms
 
     # -- client API ------------------------------------------------------
-    def invoke_batch(self, fns: Sequence[FunctionSpec]) -> list:
-        """Dispatch a same-tick volley sharing one pre-node dispatch tick.
-
-        A burst of N arrivals at the same instant historically schedules
-        N identical ``pre_node_ms`` timeouts; here the volley rides one
-        shared timeout event (N-1 fewer queue entries and engine steps
-        per volley).  Latency, retry, quota and tracing behaviour are
-        unchanged — only the dispatch-tick bookkeeping is coalesced.
-        Returns the started :class:`~repro.sim.Process` per function.
-        """
-        if not fns:
-            return []
-        env = self.env
-        shared = env.timeout(self.pre_node_ms)
-        return [
-            env.process(self.invoke(fn, _shared_dispatch=shared))
-            for fn in fns
-        ]
-
-    def invoke(
-        self, fn: FunctionSpec, _shared_dispatch: Optional[object] = None
-    ) -> Generator:
+    def invoke(self, fn: FunctionSpec) -> Generator:
         """Sim process: one synchronous client request end to end.
 
-        Returns an :class:`InvocationResult`.  ``_shared_dispatch`` is
-        the :meth:`invoke_batch` coalescing hook: when set, the request
-        waits on that pre-created dispatch tick instead of scheduling
-        its own ``pre_node_ms`` timeout.
+        Returns an :class:`InvocationResult`.
         """
         env = self.env
         request = InvocationRequest(
@@ -422,10 +398,7 @@ class Controller:
                 # API gateway -> controller -> Kafka.
                 self.bus.publish_nowait("invoke", request)
                 dispatch_started = env.now
-                if _shared_dispatch is not None:
-                    yield _shared_dispatch
-                else:
-                    yield env.timeout(self.pre_node_ms)
+                yield env.timeout(self.pre_node_ms)
                 yield self.bus.consume("invoke")
 
                 # The SEUSS deployment interposes the shim hop here.

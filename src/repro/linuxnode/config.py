@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
+from repro.seuss.policy import canonical_policy_name
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,9 @@ class LinuxNodeConfig:
     pause_containers: bool = False
     #: Seed for the node's failure/jitter RNG (determinism).
     seed: int = 0x5E055
-    #: Pluggable idle-container eviction policy (``seuss/policy.py``
-    #: names: "lru" — byte-identical to the seed discipline — "lifo",
-    #: "hybrid", "greedy_dual").  ``None`` keeps the historical path.
-    cache_policy: Optional[str] = None
+    #: Idle-container eviction policy (``seuss/policy.py`` names:
+    #: "lru" — the seed discipline — "lifo", "hybrid", "greedy_dual").
+    cache_policy: str = "lru"
 
     def __post_init__(self) -> None:
         if self.memory_gb <= 0:
@@ -52,13 +51,6 @@ class LinuxNodeConfig:
             raise ConfigError("stemcell pool cannot exceed the container cache")
         if self.stemcell_repopulate_concurrency < 1:
             raise ConfigError("stemcell_repopulate_concurrency must be >= 1")
-        if self.cache_policy is not None:
-            from repro.seuss.policy import POLICY_NAMES, normalize_policy_name
-
-            canonical = normalize_policy_name(self.cache_policy)
-            if canonical not in POLICY_NAMES:
-                raise ConfigError(
-                    f"cache_policy must be one of {POLICY_NAMES} (or None), "
-                    f"got {self.cache_policy!r}"
-                )
-            object.__setattr__(self, "cache_policy", canonical)
+        object.__setattr__(
+            self, "cache_policy", canonical_policy_name(self.cache_policy)
+        )

@@ -32,7 +32,7 @@ captured without one allocates exactly as before.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.trace import current as _active_tracer
@@ -526,10 +526,11 @@ class DedupDomain:
     # -- capture-time merge ---------------------------------------------
     def capture_chunks(
         self, namespace: str, page_count: int
-    ) -> Tuple[List[str], int, int]:
+    ) -> Tuple[List[Tuple[str, int]], int, int]:
         """Route a snapshot's duplicate region through the frame table.
 
-        Returns ``(chunk_ids, shared_pages, allocated_pages)`` where
+        Returns ``(chunks, shared_pages, allocated_pages)`` where
+        ``chunks`` lists each retained ``(content id, pages)``,
         ``shared_pages`` is the region's total size and
         ``allocated_pages`` how much of it actually claimed frames
         (first-holder chunks only); the difference merged for free.
@@ -540,13 +541,11 @@ class DedupDomain:
             self.config.duplicate_fraction,
             self.config.chunk_pages,
         )
-        chunk_ids: List[str] = []
         shared = 0
         allocated = 0
         for content_id, pages in chunks:
             allocated += self.table.retain(content_id, pages)
             shared += pages
-            chunk_ids.append(content_id)
         merged = shared - allocated
         self.stats.snapshots_deduped += 1
         self.stats.merged_pages += merged
@@ -555,9 +554,9 @@ class DedupDomain:
             tracer = _active_tracer()
             if tracer.enabled:
                 tracer.counter("dedup.merged_pages", merged)
-        return chunk_ids, shared, allocated
+        return chunks, shared, allocated
 
-    def release_chunks(self, chunk_ids: Sequence[str]) -> int:
+    def release_chunks(self, chunk_ids: Iterable[str]) -> int:
         """Drop a snapshot's chunk references; returns pages freed."""
         freed = 0
         for content_id in chunk_ids:

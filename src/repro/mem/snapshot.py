@@ -101,7 +101,7 @@ class Snapshot:
         # routes through the refcounted SharedFrameTable instead: only
         # first-holder chunks claim frames, everything else merges free.
         self._dedup = dedup
-        self._chunk_ids: Tuple[str, ...] = ()
+        self._chunks: Tuple[Tuple[str, int], ...] = ()
         self._shared_pages = 0
         newly_shared = 0
         if (
@@ -109,10 +109,10 @@ class Snapshot:
             and dedup.capture_enabled
             and content_namespace is not None
         ):
-            chunk_ids, shared, newly_shared = dedup.capture_chunks(
+            chunks, shared, newly_shared = dedup.capture_chunks(
                 content_namespace, self._pages.page_count
             )
-            self._chunk_ids = tuple(chunk_ids)
+            self._chunks = tuple(chunks)
             self._shared_pages = shared
             allocator.allocate(
                 self._pages.page_count - shared, SNAPSHOT_CATEGORY
@@ -127,15 +127,6 @@ class Snapshot:
 
         self._page_table_pages = page_table_pages_for(self.stack_page_count())
         allocator.allocate(self._page_table_pages, SNAPSHOT_CATEGORY)
-        # Frames this snapshot actually claimed from the pool — equals
-        # footprint_pages without dedup, less for later holders whose
-        # duplicate chunks merged into already-resident frames.
-        self._charged_pages = (
-            self._pages.page_count
-            - self._shared_pages
-            + newly_shared
-            + self._page_table_pages
-        )
         tracer = _active_tracer()
         if tracer.enabled:
             tracer.event(
@@ -145,7 +136,11 @@ class Snapshot:
                 page_table_pages=self._page_table_pages,
                 depth=self.depth,
             )
-            tracer.counter("mem.snapshot_pages_held", self._charged_pages)
+            # Frames the capture claimed from the pool: chunks that
+            # merged into already-resident frames claimed none.
+            tracer.counter(
+                "mem.snapshot_pages_held", self.private_pages + newly_shared
+            )
 
     # -- introspection ---------------------------------------------------
     @property
@@ -176,19 +171,25 @@ class Snapshot:
         return pages_to_mb(self.footprint_pages)
 
     @property
-    def charged_pages(self) -> int:
-        """Frames this snapshot newly claimed at capture.
-
-        Equal to :attr:`footprint_pages` unless a dedup domain merged
-        part of the capture into already-shared frames; cache budget
-        accounting charges this so shared frames count once.
-        """
-        return self._charged_pages
+    def private_pages(self) -> int:
+        """Frames only this snapshot holds: data pages outside its
+        shared chunks, plus paging structures."""
+        return (
+            self._pages.page_count
+            - self._shared_pages
+            + self._page_table_pages
+        )
 
     @property
     def shared_pages(self) -> int:
         """Pages routed through the dedup domain's shared frame table."""
         return self._shared_pages
+
+    @property
+    def shared_chunks(self) -> Tuple[Tuple[str, int], ...]:
+        """``(content id, pages)`` of each shared chunk this snapshot
+        holds (empty without capture-time dedup)."""
+        return self._chunks
 
     @property
     def refcount(self) -> int:
@@ -353,11 +354,7 @@ class Snapshot:
             raise SnapshotError(
                 f"snapshot {self.name!r} still has {self._refs} dependents"
             )
-        private = (
-            self._pages.page_count
-            - self._shared_pages
-            + self._page_table_pages
-        )
+        private = self.private_pages
         if self._dedup is not None:
             # A retroactive scanner may have merged snapshot-category
             # frames out from under us; un-merge the shortfall first so
@@ -365,8 +362,10 @@ class Snapshot:
             self._dedup.before_snapshot_free(private)
         self._allocator.free(private, SNAPSHOT_CATEGORY)
         freed = private
-        if self._chunk_ids:
-            freed += self._dedup.release_chunks(self._chunk_ids)
+        if self._chunks:
+            freed += self._dedup.release_chunks(
+                content_id for content_id, _ in self._chunks
+            )
         self._deleted = True
         tracer = _active_tracer()
         if tracer.enabled:

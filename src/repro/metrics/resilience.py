@@ -80,7 +80,7 @@ class ResilienceReport:
     dedup_unmerged_pages: int = 0
     dedup_saved_pages: int = 0
     dedup_scan_ms: float = 0.0
-    # Pluggable cache policy (empty/zero with no policy — the default).
+    # Cache policy of the cluster's nodes (empty with no nodes).
     cache_policy: str = ""
     policy_evictions: int = 0
     policy_keepalive_hits: int = 0
@@ -258,9 +258,6 @@ class ResilienceReport:
                 f"{self.wasted_ms:.0f} ms wasted "
                 f"({self.wasted_work_fraction:.1%} wasted)"
             )
-        # Policy row appears only when a pluggable cache policy is
-        # configured (default clusters print the historical block
-        # verbatim).
         if self.cache_policy:
             out.append(
                 f"cache policy: {self.cache_policy} "

@@ -5,10 +5,12 @@ workloads and then call :func:`audit_node`; a healthy node reports no
 findings.  Auditable invariants:
 
 * allocator category tallies sum to the allocated total;
-* the snapshot cache's held-page counter matches the sum of its
-  entries' footprints, every entry is alive and retained, and no entry
+* the snapshot cache's held-page counter matches its charging rule
+  (each entry's private pages, plus each shared dedup chunk once while
+  any entry holds it), every entry is alive and retained, and no entry
   is an orphan;
 * every cached idle UC is in the IDLE state with a live base snapshot;
+* each cache's policy tracks exactly the cache's keys;
 * each idle UC holds exactly one mapped network channel, and no proxy
   channel points at a destroyed UC (no channel leaks);
 * snapshot parent links are acyclic and never point at deleted
@@ -17,7 +19,7 @@ findings.  Auditable invariants:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
 from repro.mem.snapshot import Snapshot
 from repro.unikernel.context import UCState
@@ -62,6 +64,18 @@ def audit_snapshot_lineage(snapshot: Snapshot, limit: int = 64) -> List[str]:
     return issues
 
 
+def audit_policy(label: str, policy, keys: Iterable[str]) -> List[str]:
+    """A cache policy must track exactly the keys its cache holds."""
+    keys = list(keys)
+    untracked = [key for key in keys if key not in policy]
+    if untracked or len(policy) != len(keys):
+        return [
+            f"{label}: policy tracks {len(policy)} keys for {len(keys)} "
+            f"cached (untracked: {untracked[:3]})"
+        ]
+    return []
+
+
 def audit_node(node) -> List[str]:
     """Audit a :class:`~repro.seuss.node.SeussNode`; returns findings."""
     issues = audit_allocator(node.allocator)
@@ -69,18 +83,27 @@ def audit_node(node) -> List[str]:
     # -- snapshot cache ---------------------------------------------------
     cache = node.snapshot_cache
     held = 0
+    chunks = {}
     for key, snapshot in cache._entries.items():
-        held += snapshot.footprint_pages
+        held += snapshot.private_pages
+        chunks.update(snapshot.shared_chunks)
         if snapshot.deleted:
             issues.append(f"snapshot cache: {key!r} entry is deleted")
         if snapshot.refcount < 1:
             issues.append(f"snapshot cache: {key!r} entry is unretained")
         issues.extend(audit_snapshot_lineage(snapshot))
+    held += sum(chunks.values())
     if held != cache._held_pages:
         issues.append(
             f"snapshot cache: held-page counter {cache._held_pages} "
             f"!= entries total {held}"
         )
+    issues.extend(
+        audit_policy("snapshot cache", cache._policy, cache._entries)
+    )
+    issues.extend(
+        audit_policy("uc cache", node.uc_cache._policy, node.uc_cache._idle)
+    )
 
     # -- idle UC cache ----------------------------------------------------
     idle_total = 0

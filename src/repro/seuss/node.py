@@ -29,6 +29,7 @@ from repro.mem.workingset import WorkingSetRegistry
 from repro.seuss.ao import AOReport, apply_anticipatory_optimizations
 from repro.seuss.config import AOLevel, SeussConfig
 from repro.seuss.invoker import invoke_on_node
+from repro.seuss.policy import make_policy
 from repro.seuss.snapshots import SnapshotCache
 from repro.seuss.uc_cache import IdleUCCache
 from repro.sim import Environment, Process, Resource
@@ -73,20 +74,14 @@ class SeussNode:
             self.config.oom_threshold_mb
         )
         self.cores = Resource(env, self.config.cores)
-        #: Pluggable cache policies (one per cache so their key spaces
-        #: stay disjoint); ``None`` unless the config opts in, keeping
-        #: the default node's eviction paths untouched.
-        self.cache_policy = None
-        self.uc_policy = None
-        if self.config.cache_policy is not None:
-            from repro.seuss.policy import make_policy
-
-            self.cache_policy = make_policy(
-                self.config.cache_policy, clock=lambda: self.env.now
-            )
-            self.uc_policy = make_policy(
-                self.config.cache_policy, clock=lambda: self.env.now
-            )
+        #: Cache policies, one per cache so their key spaces stay
+        #: disjoint (``seuss/policy.py``; LRU by default).
+        self.cache_policy = make_policy(
+            self.config.cache_policy, clock=lambda: self.env.now
+        )
+        self.uc_policy = make_policy(
+            self.config.cache_policy, clock=lambda: self.env.now
+        )
         self.uc_cache = IdleUCCache(
             self.config.idle_ucs_per_function, policy=self.uc_policy
         )

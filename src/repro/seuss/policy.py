@@ -13,12 +13,12 @@ experiment can race policies under a production-shaped fleet trace.
 
 A policy only *orders* eviction decisions and accounts keep-alive
 quality; the caches keep full ownership of entries, refcounts and
-budget accounting.  With no policy configured (the default) the caches
-run their historical code paths untouched, and the ``lru`` policy is
-pinned byte-identical to the seed discipline under eviction pressure.
-Policies never draw randomness and never schedule simulator events, so
-selecting one cannot perturb an event schedule except through the
-victim order itself.
+budget accounting.  Every cache owns exactly one policy: the default
+``lru`` policy *is* the seed discipline (pinned by seed fingerprints in
+``tests/test_policy.py`` under eviction pressure), so there is no
+separate hard-coded path.  Policies never draw randomness and never
+schedule simulator events, so selecting one cannot perturb an event
+schedule except through the victim order itself.
 """
 
 from __future__ import annotations
@@ -93,9 +93,17 @@ class CachePolicy:
         raise NotImplementedError
 
     def victim(self) -> Optional[str]:
+        """The next key to evict; ``None`` only when no key is tracked."""
         raise NotImplementedError
 
     def requeue(self, key: str) -> None:
+        raise NotImplementedError
+
+    # -- tracked keys (audited against the owning cache) -----------------
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def __contains__(self, key: str) -> bool:
         raise NotImplementedError
 
     # -- keep-alive windows ----------------------------------------------
@@ -124,11 +132,11 @@ class CachePolicy:
 
 
 class LRUPolicy(CachePolicy):
-    """Least-recently-used: byte-identical to the seed discipline.
+    """Least-recently-used: the seed discipline and the default policy.
 
-    Mirrors the ``OrderedDict`` recency order the caches keep anyway, so
-    selecting it reproduces the no-policy victim sequence exactly
-    (pinned by ``tests/test_policy.py`` under eviction pressure).
+    Oldest function snapshot evicted first (§6), idle UCs reclaimed
+    from the least recently used function; a refused victim rotates to
+    the back.
     """
 
     name = "lru"
@@ -136,6 +144,12 @@ class LRUPolicy(CachePolicy):
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         super().__init__(clock)
         self._order: "OrderedDict[str, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._order
 
     def on_insert(
         self,
@@ -250,6 +264,12 @@ class HybridHistogramPolicy(CachePolicy):
         self._heap: List[Tuple[float, int, str, int]] = []
         self._stamp: Dict[str, int] = {}
         self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._last_use)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._last_use
 
     # -- histogram bookkeeping -------------------------------------------
     def observe_idle(self, key: str, idle_ms: float) -> None:
@@ -417,6 +437,12 @@ class GreedyDualPolicy(CachePolicy):
         self._stamp: Dict[str, int] = {}
         self._seq = 0
 
+    def __len__(self) -> int:
+        return len(self._freq)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._freq
+
     def _credit(self, key: str) -> None:
         self._priority[key] = self.clock_value + (
             self._freq[key] * self._cost[key] / self._size[key]
@@ -496,14 +522,19 @@ def normalize_policy_name(name: str) -> str:
     return aliases.get(folded, folded)
 
 
+def canonical_policy_name(name: str) -> str:
+    """Validate a policy name (``POLICY_NAMES`` or an alias) and return
+    its canonical form; the node configs call this on ``cache_policy``."""
+    canonical = normalize_policy_name(name) if isinstance(name, str) else None
+    if canonical not in _POLICY_CLASSES:
+        raise ConfigError(
+            f"unknown cache policy {name!r} (have {', '.join(POLICY_NAMES)})"
+        )
+    return canonical
+
+
 def make_policy(
     name: str, clock: Optional[Callable[[], float]] = None, **kwargs
 ) -> CachePolicy:
     """Instantiate a policy by name (``POLICY_NAMES`` or an alias)."""
-    canonical = normalize_policy_name(name)
-    cls = _POLICY_CLASSES.get(canonical)
-    if cls is None:
-        raise ConfigError(
-            f"unknown cache policy {name!r} (have {', '.join(POLICY_NAMES)})"
-        )
-    return cls(clock=clock, **kwargs)
+    return _POLICY_CLASSES[canonical_policy_name(name)](clock=clock, **kwargs)

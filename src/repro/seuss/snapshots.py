@@ -2,7 +2,8 @@
 
 SEUSS "maintains a cache of snapshots as well as a cache of idle UCs"
 (§4).  This module is the former: function key → function snapshot,
-bounded by a memory budget, with LRU eviction.
+bounded by a memory budget, with victims chosen by the cache's policy
+(LRU by default, ``seuss/policy.py``).
 
 Eviction respects snapshot-stack lifetime rules: "we address this
 concern in our prototype by only deleting function-specific snapshots
@@ -13,12 +14,11 @@ destroy idle UCs first, which releases their references.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.mem.snapshot import Snapshot
-from repro.seuss.policy import CachePolicy
+from repro.seuss.policy import CachePolicy, LRUPolicy
 from repro.trace import current as _active_tracer
 from repro.units import mb_to_pages, pages_to_mb
 
@@ -34,7 +34,7 @@ class SnapshotCacheStats:
 
 
 class SnapshotCache:
-    """LRU cache of function-specific snapshots, bounded by memory."""
+    """Cache of function-specific snapshots, bounded by memory."""
 
     def __init__(
         self,
@@ -43,12 +43,15 @@ class SnapshotCache:
         policy: Optional[CachePolicy] = None,
     ) -> None:
         self._budget_pages = mb_to_pages(budget_mb)
-        self._entries: "OrderedDict[str, Snapshot]" = OrderedDict()
+        self._entries: Dict[str, Snapshot] = {}
+        #: Budget charge: every entry's private frames, plus each shared
+        #: dedup chunk once while any entry holds it (``_chunk_holders``
+        #: counts the entries holding each chunk).
         self._held_pages = 0
-        #: Optional pluggable eviction policy (``seuss/policy.py``).
-        #: ``None`` keeps the historical hard-coded LRU path untouched;
-        #: the ``lru`` policy is pinned byte-identical to it.
-        self._policy = policy
+        self._chunk_holders: Dict[str, int] = {}
+        #: Eviction order (``seuss/policy.py``); tracks exactly the
+        #: cached keys.
+        self._policy = LRUPolicy() if policy is None else policy
         #: Callback that destroys all idle UCs of a function (returns
         #: how many were destroyed), releasing snapshot references so
         #: eviction can proceed.
@@ -88,9 +91,7 @@ class SnapshotCache:
             if tracer.enabled:
                 tracer.event("snapshot_cache.miss", key=key)
             return None
-        self._entries.move_to_end(key)
-        if self._policy is not None:
-            self._policy.on_hit(key)
+        self._policy.on_hit(key)
         self.stats.hits += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -98,7 +99,7 @@ class SnapshotCache:
         return snapshot
 
     def put(self, key: str, snapshot: Snapshot) -> bool:
-        """Insert a snapshot, evicting LRU entries to fit the budget.
+        """Insert a snapshot, evicting policy victims to fit the budget.
 
         Returns ``False`` when an entry for ``key`` already exists (a
         concurrent cold path won the insertion race); the caller should
@@ -106,16 +107,11 @@ class SnapshotCache:
         """
         if key in self._entries:
             return False
-        # Charge what the capture actually claimed from the pool:
-        # equals footprint_pages without dedup; with dedup, frames
-        # shared with already-cached snapshots count once.
-        footprint = snapshot.charged_pages
-        self._make_room(footprint)
+        self._make_room(snapshot)
         snapshot.retain()
         self._entries[key] = snapshot
-        self._held_pages += footprint
-        if self._policy is not None:
-            self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
+        footprint = self._charge(snapshot)
+        self._policy.on_insert(key, size_mb=pages_to_mb(footprint))
         self.stats.insertions += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -123,26 +119,57 @@ class SnapshotCache:
             tracer.gauge("snapshot_cache.held_mb", self.held_mb)
         return True
 
-    def _make_room(self, needed_pages: int) -> None:
+    # -- page accounting ---------------------------------------------------
+    def _new_pages(self, snapshot: Snapshot) -> int:
+        """Pages inserting ``snapshot`` would add to the charge."""
+        pages = snapshot.private_pages
+        for chunk, chunk_pages in snapshot.shared_chunks:
+            if chunk not in self._chunk_holders:
+                pages += chunk_pages
+        return pages
+
+    def _charge(self, snapshot: Snapshot) -> int:
+        pages = self._new_pages(snapshot)
+        holders = self._chunk_holders
+        for chunk, _ in snapshot.shared_chunks:
+            holders[chunk] = holders.get(chunk, 0) + 1
+        self._held_pages += pages
+        return pages
+
+    def _uncharge(self, snapshot: Snapshot) -> int:
+        """Drop ``snapshot``'s charge: its private pages plus every
+        shared chunk no remaining entry holds."""
+        pages = snapshot.private_pages
+        holders = self._chunk_holders
+        for chunk, chunk_pages in snapshot.shared_chunks:
+            remaining = holders.pop(chunk) - 1
+            if remaining:
+                holders[chunk] = remaining
+            else:
+                pages += chunk_pages
+        self._held_pages -= pages
+        return pages
+
+    def _make_room(self, snapshot: Snapshot) -> None:
+        # Re-priced per round: evicting the last other holder of a
+        # shared chunk moves that chunk's pages onto the newcomer.
         attempts = len(self._entries)
         while (
-            self._held_pages + needed_pages > self._budget_pages
+            self._held_pages + self._new_pages(snapshot) > self._budget_pages
             and self._entries
             and attempts > 0
         ):
             attempts -= 1
-            if self._policy is not None:
-                key = self._policy.victim()
-                if key is None or key not in self._entries:
-                    key = next(iter(self._entries))
-            else:
-                key = next(iter(self._entries))  # LRU victim
+            key = self._policy.victim()
+            if key not in self._entries:
+                raise RuntimeError(
+                    f"{self._policy.name} policy chose {key!r}, "
+                    f"which the snapshot cache does not hold"
+                )
             if not self._evict(key):
                 # Could not delete (live dependents survived drop_idle);
-                # rotate it to the back and try the next victim.
-                self._entries.move_to_end(key)
-                if self._policy is not None:
-                    self._policy.requeue(key)
+                # deprioritize it and try the next victim.
+                self._policy.requeue(key)
                 self.stats.eviction_failures += 1
 
     def _evict(self, key: str) -> bool:
@@ -153,13 +180,10 @@ class SnapshotCache:
         if snapshot.refcount > 1:
             return False  # a live invocation still depends on it
         del self._entries[key]
-        if self._policy is not None:
-            self._policy.on_remove(key)
+        self._policy.on_remove(key)
+        footprint = self._uncharge(snapshot)
         snapshot.release()
-        # Deduped snapshots only free shared frames at refcount zero;
-        # uncharge exactly what physically returned to the pool.
-        footprint = snapshot.delete()
-        self._held_pages -= footprint
+        snapshot.delete()
         self.stats.evictions += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -184,11 +208,10 @@ class SnapshotCache:
         snapshot = self._entries.pop(key, None)
         if snapshot is None:
             return False
-        if self._policy is not None:
-            # Quarantine is not an eviction decision; keep policy
-            # eviction counts clean.
-            self._policy.on_remove(key, evicted=False)
-        self._held_pages -= snapshot.charged_pages
+        # Quarantine is not an eviction decision; keep policy eviction
+        # counts clean.
+        self._policy.on_remove(key, evicted=False)
+        self._uncharge(snapshot)
         self.stats.quarantined += 1
         tracer = _active_tracer()
         if tracer.enabled:

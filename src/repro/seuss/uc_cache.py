@@ -6,16 +6,18 @@ for future invocations of that function on a new set of arguments" (§4)
 "UCs for function invocations are transient and can always be killed by
 the system without impacting forward progress", so the OOM daemon
 reclaims them (oldest first, across all functions) whenever free memory
-drops below the configured threshold (§6 "Memory Management").
+drops below the configured threshold (§6 "Memory Management").  The
+cache's policy (LRU by default, ``seuss/policy.py``) picks which
+function gives up its oldest idle UC.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
-from repro.seuss.policy import CachePolicy
+from repro.seuss.policy import CachePolicy, LRUPolicy
 from repro.trace import current as _active_tracer
 from repro.unikernel.context import UCState, UnikernelContext
 
@@ -29,7 +31,8 @@ class UCCacheStats:
 
 
 class IdleUCCache:
-    """Idle unikernel contexts keyed by function, LRU across functions."""
+    """Idle unikernel contexts keyed by function, policy-ordered across
+    functions."""
 
     def __init__(
         self,
@@ -37,14 +40,12 @@ class IdleUCCache:
         policy: Optional[CachePolicy] = None,
     ) -> None:
         self._per_function_limit = per_function_limit
-        # OrderedDict preserves global LRU order over function keys;
-        # each key holds a FIFO of idle UCs.
-        self._idle: "OrderedDict[str, Deque[UnikernelContext]]" = OrderedDict()
+        # Each function key holds a FIFO of idle UCs.
+        self._idle: Dict[str, Deque[UnikernelContext]] = {}
         self._count = 0
-        #: Optional pluggable reclaim-order policy over *function keys*
-        #: (``seuss/policy.py``).  ``None`` keeps the historical
-        #: LRU-across-functions reclaim untouched.
-        self._policy = policy
+        #: Reclaim order over *function keys* (``seuss/policy.py``);
+        #: tracks exactly the keys with idle UCs.
+        self._policy = LRUPolicy() if policy is None else policy
         self.stats = UCCacheStats()
 
     def __len__(self) -> int:
@@ -65,10 +66,8 @@ class IdleUCCache:
         if len(bucket) >= self._per_function_limit:
             return False
         bucket.append(uc)
-        self._idle.move_to_end(key)
         self._count += 1
-        if self._policy is not None:
-            self._policy.on_insert(key)
+        self._policy.on_insert(key)
         self.stats.cached += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -90,14 +89,11 @@ class IdleUCCache:
         self._count -= 1
         if not bucket:
             del self._idle[key]
-            if self._policy is not None:
-                # The function left the cache by being *used*, not
-                # evicted; keep policy eviction counts clean.
-                self._policy.on_remove(key, evicted=False)
+            # The function left the cache by being *used*, not evicted;
+            # keep policy eviction counts clean.
+            self._policy.on_remove(key, evicted=False)
         else:
-            self._idle.move_to_end(key)
-            if self._policy is not None:
-                self._policy.on_hit(key)
+            self._policy.on_hit(key)
         self.stats.hot_hits += 1
         tracer = _active_tracer()
         if tracer.enabled:
@@ -109,24 +105,24 @@ class IdleUCCache:
     def reclaim_pages(self, pages_needed: int) -> int:
         """OOM-daemon hook: destroy idle UCs until enough pages free.
 
-        Reclaims least-recently-used functions first.  Returns pages
+        Reclaims from the policy's victim function first (the least
+        recently used under the default policy).  Returns pages
         actually freed.
         """
         freed = 0
         while freed < pages_needed and self._idle:
-            if self._policy is not None:
-                key = self._policy.victim()
-                if key is None or key not in self._idle:
-                    key = next(iter(self._idle))
-            else:
-                key = next(iter(self._idle))  # least recently used function
-            bucket = self._idle[key]
+            key = self._policy.victim()
+            bucket = self._idle.get(key)
+            if bucket is None:
+                raise RuntimeError(
+                    f"{self._policy.name} policy chose {key!r}, "
+                    f"which has no idle UCs"
+                )
             uc = bucket.popleft()
             self._count -= 1
             if not bucket:
                 del self._idle[key]
-                if self._policy is not None:
-                    self._policy.on_remove(key)
+                self._policy.on_remove(key)
             freed += uc.destroy()
             self.stats.reclaimed += 1
             tracer = _active_tracer()
@@ -140,10 +136,9 @@ class IdleUCCache:
         bucket = self._idle.pop(key, None)
         if not bucket:
             return 0
-        if self._policy is not None:
-            # Dropped on behalf of a snapshot-cache eviction (or a
-            # clear); the owning cache's policy accounts the eviction.
-            self._policy.on_remove(key, evicted=False)
+        # Dropped on behalf of a snapshot-cache eviction (or a clear);
+        # the owning cache's policy accounts the eviction.
+        self._policy.on_remove(key, evicted=False)
         dropped = 0
         for uc in bucket:
             uc.destroy()

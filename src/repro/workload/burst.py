@@ -45,11 +45,6 @@ class BurstConfig:
     #: Lead time for the background stream to reach steady state.
     warmup_ms: float = 5_000.0
     seed: int = 0xB0257
-    #: Dispatch each volley through :meth:`FaasCluster.invoke_batch`
-    #: (one shared pre-node tick per volley instead of ``burst_size``
-    #: identical timeouts).  Off by default: the figure 6-8 tables are
-    #: pinned to the historical per-request dispatch schedule.
-    batched_dispatch: bool = False
 
     def __post_init__(self) -> None:
         if self.burst_interval_ms <= 0:
@@ -171,14 +166,7 @@ class BurstWorkload:
         )
         bucket: List[InvocationResult] = []
         result.bursts.append(bucket)
-        if self.config.batched_dispatch:
-            requests = cluster.invoke_batch(
-                [fn] * self.config.burst_size
-            )
-        else:
-            requests = [
-                cluster.invoke(fn) for _ in range(self.config.burst_size)
-            ]
+        requests = [cluster.invoke(fn) for _ in range(self.config.burst_size)]
         outcomes = yield env.all_of(requests)
         for process in requests:
             bucket.append(outcomes[process])

@@ -6,19 +6,15 @@ arrival producing at least an arrival tick and a completion tick in the
 simulator.  At that scale the event queue itself — not the platform
 model — dominates wall-clock time, so this module isolates it: a
 seeded Zipf-skewed open-loop arrival stream with exponential service
-times, driven through the engine two ways.
-
-``run_legacy`` is the historical idiom (one generator process per
-arrival, one timeout per tick) and ``run_batched`` is the bulk idiom
+times, driven through the engine by :func:`run_batched`
 (:meth:`~repro.sim.core.Environment.timeout_batch` arrival epochs, plain
-callbacks instead of processes).  Both tally identical per-function
-counts from identical pre-generated vectors, so their
-:class:`FleetStats` differ only in engine-event cost — which is exactly
-the quantity ``benchmarks/perf_gate.py::million_event_fleet`` and the
-``fleet`` experiment table report.
+callbacks instead of processes).  Its :class:`FleetStats` engine-event
+cost is exactly the quantity
+``benchmarks/perf_gate.py::million_event_fleet`` and the ``fleet``
+experiment table report.
 
 All randomness is pre-generated by :func:`generate` from one seeded RNG
-*before* any driver runs: drivers are deterministic, timing-free, and
+*before* the driver runs: the driver is deterministic, timing-free, and
 reusable for byte-identical tables.
 """
 
@@ -47,8 +43,8 @@ class FleetConfig:
     service_mean_ms: float = 250.0
     zipf_exponent: float = 1.1
     seed: int = 0xF1EE7
-    #: Arrivals injected per bulk insert (batched) or process-launch
-    #: wave (legacy); bounds peak queue length, not the totals.
+    #: Arrivals injected per bulk insert; bounds peak queue length,
+    #: not the totals.
     epoch_size: int = 100_000
 
     def __post_init__(self) -> None:
@@ -72,7 +68,7 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class FleetWorkload:
-    """Pre-generated vectors: the drivers consume these, never an RNG."""
+    """Pre-generated vectors: the driver consumes these, never an RNG."""
 
     config: FleetConfig
     arrival_times_ms: List[float]
@@ -84,7 +80,6 @@ class FleetWorkload:
 class FleetStats:
     """What one driver run did, in deterministic sim quantities only."""
 
-    driver: str
     arrivals: int
     completions: int
     engine_events: int
@@ -129,50 +124,6 @@ def generate(config: FleetConfig) -> FleetWorkload:
         arrival_times_ms=arrival_times,
         function_indices=indices,
         service_times_ms=services,
-    )
-
-
-def run_legacy(workload: FleetWorkload, env: Optional[Environment] = None) -> FleetStats:
-    """One generator process per arrival — the pre-batching idiom.
-
-    Each arrival costs a process-start event, an arrival timeout, a
-    service timeout and a process-termination event (~4.5 engine events
-    per arrival including driver overhead).  Kept as the committed
-    "before" side of the throughput comparison.
-    """
-    if env is None:
-        env = Environment()
-    config = workload.config
-    times = workload.arrival_times_ms
-    indices = workload.function_indices
-    services = workload.service_times_ms
-    counts = [0] * config.functions
-    completed = [0]
-
-    def fire(index: int):
-        yield env.timeout(times[index] - env.now)
-        counts[indices[index]] += 1
-        yield env.timeout(services[index])
-        completed[0] += 1
-
-    def driver():
-        for start in range(0, config.arrivals, config.epoch_size):
-            end = min(start + config.epoch_size, config.arrivals)
-            for index in range(start, end):
-                env.process(fire(index))
-            # Gate the next wave on this one's last arrival so at most
-            # one epoch of un-fired arrival timeouts is ever queued.
-            yield env.timeout(times[end - 1] - env.now)
-
-    env.process(driver())
-    env.run()
-    return FleetStats(
-        driver="legacy",
-        arrivals=config.arrivals,
-        completions=completed[0],
-        engine_events=env.events_processed,
-        final_ms=env.now,
-        function_counts=counts,
     )
 
 
@@ -222,16 +173,12 @@ def run_batched(workload: FleetWorkload, env: Optional[Environment] = None) -> F
     env.process(driver())
     env.run()
     return FleetStats(
-        driver="batched",
         arrivals=config.arrivals,
         completions=completed[0],
         engine_events=env.events_processed,
         final_ms=env.now,
         function_counts=counts,
     )
-
-
-DRIVERS = {"legacy": run_legacy, "batched": run_batched}
 
 
 # ---------------------------------------------------------------------------

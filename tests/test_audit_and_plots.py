@@ -34,6 +34,34 @@ class TestAudit:
         issues = audit_node(seuss_node)
         assert any("held-page counter" in issue for issue in issues)
 
+    def test_dedup_node_is_clean(self):
+        # The audit checks the cache's charging rule: shared dedup
+        # chunks count once, not once per holder's footprint.
+        from repro.workload.functions import unique_nop_set
+        from tests.conftest import make_seuss_node
+
+        node = make_seuss_node(page_dedup=True, dedup_scope="global")
+        for fn in unique_nop_set(6):
+            node.invoke_sync(fn)
+        assert len(node.snapshot_cache) == 6
+        assert audit_node(node) == []
+
+    def test_policy_key_mismatch_detected(self, seuss_node):
+        fn = nop_function()
+        seuss_node.invoke_sync(fn)
+        assert audit_node(seuss_node) == []
+        seuss_node.cache_policy.on_remove(fn.key, evicted=False)
+        seuss_node.uc_policy.on_insert("ghost")
+        issues = audit_node(seuss_node)
+        assert any(
+            issue.startswith("snapshot cache: policy tracks 0 keys for 1")
+            for issue in issues
+        )
+        assert any(
+            issue.startswith("uc cache: policy tracks 2 keys for 1")
+            for issue in issues
+        )
+
     def test_deleted_lineage_detected(self, allocator):
         from repro.mem.intervals import IntervalSet
         from repro.mem.snapshot import Snapshot

@@ -1,8 +1,8 @@
-"""Batched scheduling paths: replay, open-loop trials, volley dispatch.
+"""Batched scheduling paths: replay, open-loop trials, the fleet driver.
 
-Each batched path is opt-in; these tests pin (a) that the batched and
-legacy forms produce identical client-visible outcomes, and (b) that
-batching actually removes engine events rather than adding them.
+These tests pin (a) that the batched and per-event forms produce
+identical client-visible outcomes, and (b) that batching actually
+removes engine events rather than adding them.
 """
 
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.faas.cluster import FaasCluster
 from repro.sim import Environment, SimulationError, Store
-from repro.workload.burst import BurstConfig, BurstWorkload
 from repro.workload.functions import cpu_bound_function
 from repro.workload.generator import run_open_loop_trial
 from repro.workload.traces import (
@@ -225,54 +224,6 @@ class TestOpenLoopTrial:
             )
 
 
-class TestVolleyDispatch:
-    def test_invoke_batch_matches_individual_invokes(self):
-        fn = _functions(1)[0]
-        batched_cluster = _cluster()
-        procs = batched_cluster.invoke_batch([fn] * 24)
-        batched_cluster.env.run(until=batched_cluster.env.all_of(procs))
-        plain_cluster = _cluster()
-        singles = [plain_cluster.invoke(fn) for _ in range(24)]
-        plain_cluster.env.run(until=plain_cluster.env.all_of(singles))
-        assert [
-            (p.value.function_key, p.value.sent_at_ms, p.value.finished_at_ms)
-            for p in procs
-        ] == [
-            (p.value.function_key, p.value.sent_at_ms, p.value.finished_at_ms)
-            for p in singles
-        ]
-        assert (
-            batched_cluster.env.events_processed
-            < plain_cluster.env.events_processed
-        )
-
-    def test_invoke_batch_empty(self):
-        assert _cluster().invoke_batch([]) == []
-
-    def test_burst_workload_batched_dispatch_identical_results(self):
-        def run(batched):
-            cluster = _cluster()
-            config = BurstConfig(
-                burst_interval_ms=2_000.0,
-                burst_count=2,
-                burst_size=16,
-                background_workers=8,
-                background_functions=4,
-                warmup_ms=500.0,
-                batched_dispatch=batched,
-            )
-            result = BurstWorkload(config).run(cluster)
-            return result, cluster.env.events_processed
-
-        # The volley shares one dispatch tick; every latency observable
-        # in the figures must still be identical because the tick fires
-        # at the same instant the per-request timeouts did.
-        legacy, legacy_events = run(False)
-        batched, batched_events = run(True)
-        assert legacy.points() == batched.points()
-        assert batched_events < legacy_events
-
-
 class TestFleetDrivers:
     def _workload(self, arrivals=3_000):
         from repro.workload.fleet import FleetConfig, generate
@@ -280,17 +231,29 @@ class TestFleetDrivers:
         return generate(FleetConfig(arrivals=arrivals, epoch_size=1_000))
 
     def test_drivers_observe_identical_workload(self):
-        from repro.workload.fleet import run_batched, run_legacy
+        """The batched driver observes exactly the workload vectors:
+        per-function counts, makespan and one completion per arrival."""
+        from repro.workload.fleet import run_batched
 
         workload = self._workload()
-        legacy = run_legacy(workload)
         batched = run_batched(workload)
-        assert legacy.function_counts == batched.function_counts
-        assert legacy.final_ms == batched.final_ms
-        assert legacy.completions == batched.completions == 3_000
-        # Batching halves the engine events (2 vs 4 per arrival).
-        assert batched.engine_events < legacy.engine_events
-        assert batched.events_per_arrival < 2.5
+        expected_counts = [0] * workload.config.functions
+        for index in workload.function_indices:
+            expected_counts[index] += 1
+        assert batched.function_counts == expected_counts
+        assert batched.final_ms == pytest.approx(
+            max(
+                t + s
+                for t, s in zip(
+                    workload.arrival_times_ms, workload.service_times_ms
+                )
+            ),
+            rel=1e-12,
+        )
+        assert batched.completions == batched.arrivals == 3_000
+        # Two engine events per arrival (arrival + completion tick),
+        # plus the driver process's start and end.
+        assert batched.engine_events == 2 * 3_000 + 2
 
     def test_batched_same_on_both_backends(self):
         """The batched driver's schedule, replayed at the queue level,
@@ -350,7 +313,7 @@ class TestFleetDrivers:
         first = spec.run(profile="smoke").to_text()
         second = spec.run(profile="smoke").to_text()
         assert first == second
-        assert "batched" in first and "legacy" in first
+        assert "4000" in first
 
 
 class TestTimeoutBatchCallback:

@@ -1,13 +1,16 @@
 """Cache-policy unit tests: victim orders, windows, stats, plumbing.
 
 The contract under test: policies only *order* eviction decisions (the
-caches keep ownership of entries and budgets), the ``lru`` policy is
-byte-identical to the seed discipline even under eviction pressure, and
-the histogram/greedy-dual policies implement their published decision
-rules exactly.
+caches keep ownership of entries and budgets), the default ``lru``
+policy replays the seed discipline byte-for-byte even under eviction
+pressure (pinned by digests of the seed schedules), no policy perturbs
+a trial without pressure, and the histogram/greedy-dual policies
+implement their published decision rules exactly.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -52,6 +55,21 @@ class TestNames:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             make_policy("belady")
+
+
+class TestTrackedKeys:
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_len_and_contains_follow_lifecycle(self, name):
+        policy = make_policy(name)
+        for key in ("a", "b", "a"):
+            policy.on_insert(key)
+        policy.on_hit("b")
+        assert len(policy) == 2 and "a" in policy and "b" in policy
+        policy.on_remove("a")
+        assert len(policy) == 1 and "a" not in policy
+        assert policy.victim() == "b"
+        policy.on_remove("b", evicted=False)
+        assert len(policy) == 0 and policy.victim() is None
 
 
 class TestLRUOrder:
@@ -225,56 +243,122 @@ PRESSURE = dict(
     seed=0x0FF,
 )
 
+#: Closed-loop trials on one node: (cluster builder, config class,
+#: config knobs, distinct NOP functions, invocations).
+SCENARIOS = {
+    # Snapshot-cache evictions (48 MB holds a handful of snapshots).
+    "seuss-pressure": (
+        FaasCluster.with_seuss_node, SeussConfig,
+        dict(snapshot_cache_budget_mb=48.0), 24, 300,
+    ),
+    # Snapshot evictions *and* OOM-daemon idle-UC reclaim.
+    "seuss-reclaim": (
+        FaasCluster.with_seuss_node, SeussConfig,
+        dict(memory_gb=0.75, snapshot_cache_budget_mb=96.0), 48, 300,
+    ),
+    "seuss-quiet": (FaasCluster.with_seuss_node, SeussConfig, {}, 16, 200),
+    # Idle-container evictions (8 containers for 24 functions).
+    "linux-pressure": (
+        FaasCluster.with_linux_node, LinuxNodeConfig,
+        dict(container_cache_limit=8), 24, 300,
+    ),
+    "linux-quiet": (FaasCluster.with_linux_node, LinuxNodeConfig, {}, 16, 200),
+}
 
-def _fingerprint(trial):
-    return [
-        (r.sent_at_ms, r.finished_at_ms, r.path, r.success)
+#: sha256 of each scenario's client fingerprint under the seed eviction
+#: discipline, captured from the hard-coded LRU paths the ``lru``
+#: policy replaced.  Any change to the seed victim order (or to the
+#: event schedule at all) changes these.
+SEED_DIGESTS = {
+    "seuss-pressure": "7d955cebd1263b6e9f40dbc434622f522b997badd128543b22f5abacdf601bf2",
+    "seuss-reclaim": "ae08c962f52252748cac15ab92b93d980a9ad4d679ce0be3668ded93dd777752",
+    "seuss-quiet": "4af0ae4274db548175ea556ef6ca384b45fea47b2d01cf734a92decd0b2176b0",
+    "linux-pressure": "a826d5a91470b891fb2a17f71b6d61bfb18ab19154568700dfc301b41bdb4c68",
+    "linux-quiet": "8dd94be560b93a80ada6ea2cb48f84d6c0ec7dec50a2592671d4d9a019e9ca9f",
+}
+
+
+def _run(scenario, **knobs):
+    build, config_cls, base, set_size, count = SCENARIOS[scenario]
+    cluster = build(Environment(), config=config_cls(**base, **knobs))
+    trial = run_trial(
+        cluster,
+        unique_nop_set(set_size),
+        invocation_count=count,
+        workers=8,
+        seed=0x0FF,
+    )
+    return trial, cluster.nodes[0]
+
+
+def _digest(trial):
+    """sha256 of everything a client can observe, in completion order.
+
+    ``request_id`` is excluded: it comes from a process-global counter,
+    so it differs between any two runs in one test process.  A single
+    reordered event or 1-ulp float drift changes the digest.
+    """
+    rows = [
+        (r.sent_at_ms, r.finished_at_ms, r.path.value, r.success, r.attempts)
         for r in trial.results
     ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 class TestSeedParityUnderPressure:
-    """The ``lru`` policy must replay the seed eviction decisions
-    byte-for-byte *while evictions are actually happening*."""
+    """The default ``lru`` policy must replay the seed eviction
+    decisions byte-for-byte *while evictions are actually happening*."""
 
     def test_seuss_snapshot_evictions_identical(self):
-        def run(policy):
-            env = Environment()
-            cluster = FaasCluster.with_seuss_node(
-                env,
-                config=SeussConfig(
-                    snapshot_cache_budget_mb=48.0, cache_policy=policy
-                ),
-            )
-            trial = run_trial(cluster, unique_nop_set(24), **PRESSURE)
-            return trial, cluster.nodes[0]
+        trial, node = _run("seuss-pressure")
+        assert _digest(trial) == SEED_DIGESTS["seuss-pressure"]
+        assert node.snapshot_cache.stats.evictions == 25
+        assert node.cache_policy.stats.evictions == 25
 
-        baseline, baseline_node = run(None)
-        mirrored, mirrored_node = run("lru")
-        assert baseline_node.snapshot_cache.stats.evictions > 0
-        assert (
-            mirrored_node.snapshot_cache.stats.evictions
-            == baseline_node.snapshot_cache.stats.evictions
-        )
-        assert _fingerprint(mirrored) == _fingerprint(baseline)
-        assert mirrored_node.cache_policy.stats.evictions > 0
+    def test_seuss_uc_reclaim_identical(self):
+        trial, node = _run("seuss-reclaim")
+        assert _digest(trial) == SEED_DIGESTS["seuss-reclaim"]
+        assert node.snapshot_cache.stats.evictions == 31
+        assert node.uc_cache.stats.reclaimed == 290
+        assert node.uc_policy.stats.evictions > 0
 
     def test_linux_idle_evictions_identical(self):
-        def run(policy):
-            env = Environment()
-            cluster = FaasCluster.with_linux_node(
-                env,
-                config=LinuxNodeConfig(
-                    container_cache_limit=8, cache_policy=policy
-                ),
-            )
-            trial = run_trial(cluster, unique_nop_set(24), **PRESSURE)
-            return trial, cluster.nodes[0]
+        trial, node = _run("linux-pressure")
+        assert _digest(trial) == SEED_DIGESTS["linux-pressure"]
+        assert node.cache_policy.stats.evictions > 0
 
-        baseline, _ = run(None)
-        mirrored, mirrored_node = run("lru")
-        assert _fingerprint(mirrored) == _fingerprint(baseline)
-        assert mirrored_node.cache_policy.stats.evictions > 0
+    def test_lifo_diverges_under_pressure(self):
+        # The digests do see the victim order.
+        trial, _ = _run("seuss-pressure", cache_policy="lifo")
+        assert _digest(trial) != SEED_DIGESTS["seuss-pressure"]
+
+
+class TestPolicyWithoutPressure:
+    @pytest.mark.parametrize(
+        "scenario, policy",
+        [
+            ("seuss-quiet", "lru"),
+            ("seuss-quiet", "lifo"),
+            ("linux-quiet", "lru"),
+            ("linux-quiet", "lifo"),
+        ],
+        ids=["seuss-lru", "seuss-lifo", "linux-lru", "linux-lifo"],
+    )
+    def test_schedule_matches_seed(self, scenario, policy):
+        # Policies only order evictions; with no eviction pressure even
+        # the anti-LRU order replays the seed schedule.
+        trial, _ = _run(scenario, cache_policy=policy)
+        assert _digest(trial) == SEED_DIGESTS[scenario]
+
+
+class TestPolicyStatsStayQuiet:
+    def test_lru_policy_counts_without_perturbing(self):
+        """The default policy sees traffic (tracked/hits) even when it
+        never has to decide anything."""
+        _, node = _run("seuss-quiet")
+        assert node.cache_policy.stats.tracked > 0
+        assert node.uc_policy.stats.tracked > 0
+        assert node.cache_policy.stats.evictions == 0
 
 
 class TestConfigPlumbing:
@@ -283,10 +367,21 @@ class TestConfigPlumbing:
         assert LinuxNodeConfig(cache_policy="GDSF").cache_policy == "greedy_dual"
 
     def test_bogus_names_rejected(self):
-        with pytest.raises(ConfigError):
-            SeussConfig(cache_policy="belady")
-        with pytest.raises(ConfigError):
-            LinuxNodeConfig(cache_policy="belady")
+        for bogus in ("belady", None):
+            with pytest.raises(ConfigError):
+                SeussConfig(cache_policy=bogus)
+            with pytest.raises(ConfigError):
+                LinuxNodeConfig(cache_policy=bogus)
+
+    def test_default_is_lru(self):
+        assert SeussConfig().cache_policy == "lru"
+        assert LinuxNodeConfig().cache_policy == "lru"
+        env = Environment()
+        seuss = FaasCluster.with_seuss_node(env).nodes[0]
+        assert isinstance(seuss.cache_policy, LRUPolicy)
+        assert isinstance(seuss.uc_policy, LRUPolicy)
+        linux = FaasCluster.with_linux_node(Environment()).nodes[0]
+        assert isinstance(linux.cache_policy, LRUPolicy)
 
     def test_node_builds_configured_policy(self):
         env = Environment()
@@ -302,13 +397,15 @@ class TestConfigPlumbing:
 
 
 class TestResilienceRow:
-    def test_no_policy_no_row(self):
+    def test_default_report_names_lru(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env)
         run_trial(cluster, unique_nop_set(8), **PRESSURE)
         report = ResilienceReport.from_cluster(cluster)
-        assert report.cache_policy == ""
-        assert "cache policy" not in "\n".join(report.lines())
+        assert report.cache_policy == "lru"
+        assert "cache policy: lru (0 policy evictions" in "\n".join(
+            report.lines()
+        )
 
     def test_policy_row_reports_counters(self):
         env = Environment()

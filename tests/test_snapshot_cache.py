@@ -123,3 +123,46 @@ class TestEviction:
         assert cache.held_mb == 0
         cache.put("a", snap(alloc, pages=256))
         assert cache.held_mb > 1.0  # data + page-table overhead
+
+
+class TestDedupAccounting:
+    """Shared dedup chunks are charged once while any cached entry
+    holds them, whichever entry leaves first and however it leaves (cf.
+    the merge/unmerge accounting of Qiu et al., arXiv 2311.13588)."""
+
+    @pytest.fixture
+    def node(self):
+        from tests.conftest import make_seuss_node
+
+        return make_seuss_node(page_dedup=True, dedup_scope="global")
+
+    def test_quarantined_first_holder_then_evicted_holds_zero(self, node):
+        from repro.workload.functions import unique_nop_set
+
+        first, second = unique_nop_set(2)
+        node.invoke_sync(first)
+        node.invoke_sync(second)
+        cache = node.snapshot_cache
+        survivor = cache._entries[second.key]
+        assert survivor.shared_chunks
+        # The first capture claimed the shared chunks; quarantining it
+        # moves their charge onto the entry still holding them.
+        assert cache.quarantine(first.key)
+        assert cache._held_pages == (
+            survivor.private_pages
+            + sum(pages for _, pages in survivor.shared_chunks)
+        )
+        assert cache.evict_key(second.key)
+        assert len(cache) == 0
+        assert cache._held_pages == 0
+
+    def test_evicting_in_any_order_holds_zero(self, node):
+        from repro.workload.functions import unique_nop_set
+
+        fns = unique_nop_set(4)
+        for fn in fns:
+            node.invoke_sync(fn)
+        cache = node.snapshot_cache
+        for fn in (fns[0], fns[2], fns[3], fns[1]):
+            assert cache.evict_key(fn.key)
+        assert cache._held_pages == 0
