@@ -12,15 +12,15 @@ Client-side timeouts are enforced here: a request that exceeds
 behind the 'x' marks in Figures 6–8) while the node-side work is left
 to finish in the background, as on the real platform.
 
-Resilience is opt-in and costs nothing when idle.  A
-:class:`RetryPolicy` with ``max_attempts > 1`` re-dispatches failed
-node attempts with exponential backoff + seeded jitter (sim-clock
-based, so retry schedules replay deterministically), bounded by both an
-attempt count and a per-request backoff budget; a
-:class:`~repro.faas.health.NodeRouter` lets each attempt route around
-nodes whose circuit breakers are open.  With the default policy
-(single attempt, no router) the control flow is exactly the historical
-one — no extra events, no RNG draws, no added latency.
+Every node attempt goes through a
+:class:`~repro.faas.health.NodeRouter`, which picks the node and routes
+around nodes whose circuit breakers are open.  Retries are opt-in and
+cost nothing when idle: a :class:`RetryPolicy` with
+``max_attempts > 1`` re-dispatches failed node attempts with
+exponential backoff + seeded jitter (sim-clock based, so retry
+schedules replay deterministically), bounded by both an attempt count
+and a per-request backoff budget.  With the default single attempt the
+control flow adds no events, no RNG draws and no latency.
 """
 
 from __future__ import annotations
@@ -156,24 +156,23 @@ class Controller:
     def __init__(
         self,
         env: Environment,
-        node,
+        router: NodeRouter,
         costs: PlatformCostModel,
         shim: Optional[ShimProcess] = None,
         bus: Optional[MessageBus] = None,
         quotas: QuotaConfig = DISABLED,
         retries: Optional[RetryPolicy] = None,
-        router: Optional[NodeRouter] = None,
         overload: Optional[OverloadControl] = None,
+        shard_id: int = 0,
     ) -> None:
         self.env = env
-        self.node = node
+        self.router = router
         self.costs = costs
         self.shim = shim
         self.bus = bus or MessageBus(env)
         #: Per-namespace throttling; the paper disables it (the default).
         self.quotas = QuotaEnforcer(quotas)
         self.retries = retries or NO_RETRIES
-        self.router = router
         #: The overload control plane (deadlines, admission queues,
         #: retry budget); ``None`` keeps the historical control flow.
         self.overload = overload
@@ -181,11 +180,9 @@ class Controller:
         self.stats = ControllerStats()
         #: Audit log of scheduled retries (empty unless retries fire).
         self.retry_events: List[RetryEvent] = []
-        #: Set by :class:`~repro.faas.sharding.ShardedControlPlane` so
-        #: request spans carry their shard for critical-path
-        #: attribution; ``None`` on unsharded controllers (no span
-        #: attribute, historical traces unchanged).
-        self.shard_id: Optional[int] = None
+        #: This controller's shard in its control plane; request spans
+        #: carry it for critical-path attribution.
+        self.shard_id = shard_id
 
     @property
     def pre_node_ms(self) -> float:
@@ -235,23 +232,19 @@ class Controller:
                 tracer.counter("overload.deadline_rejected")
             return EXPIRED_BEFORE_DISPATCH
 
-        health = None
-        if self.router is not None:
-            try:
-                health = self.router.select(fn)
-                node = health.node
-            except CircuitOpenError as exc:
-                self.stats.circuit_rejected += 1
-                span.annotate(circuit_rejected=True, error=str(exc))
-                return NodeInvocation(
-                    path=InvocationPath.ERROR,
-                    success=False,
-                    latency_ms=0.0,
-                    error=str(exc),
-                    function_key=fn.key,
-                )
-        else:
-            node = self.node
+        try:
+            health = self.router.select(fn)
+        except CircuitOpenError as exc:
+            self.stats.circuit_rejected += 1
+            span.annotate(circuit_rejected=True, error=str(exc))
+            return NodeInvocation(
+                path=InvocationPath.ERROR,
+                success=False,
+                latency_ms=0.0,
+                error=str(exc),
+                function_key=fn.key,
+            )
+        node = health.node
 
         queue = None
         if self.overload is not None:
@@ -308,7 +301,7 @@ class Controller:
                     tracer.counter("overload.cancelled")
             return None
         node_result = node_process.value
-        if health is not None and not node_result.cancelled:
+        if not node_result.cancelled:
             # Cancelled/shed work says nothing about node health; only
             # real outcomes feed the breaker.
             if node_result.success:
@@ -364,9 +357,8 @@ class Controller:
             category="controller",
             function=fn.key,
             request_id=request.request_id,
+            shard=self.shard_id,
         )
-        if self.shard_id is not None:
-            root.annotate(shard=self.shard_id)
 
         try:
             # Namespace throttling happens at the gateway, before any work.

@@ -175,8 +175,8 @@ class LeastLoadedPolicy(RoutingPolicy):
     """Ascending load, rotation order on ties (historical backpressure).
 
     ``load_of`` maps a candidate to its load; the overload control
-    plane feeds admission-queue depth here, exactly as
-    ``NodeRouter.prefer_least_loaded`` always did.
+    plane feeds admission-queue depth here, and this is the default
+    policy whenever admission queues are on.
     """
 
     name = "least_loaded"

@@ -15,7 +15,7 @@ import pytest
 from repro.costs import DEFAULT_COSTS
 from repro.faas.cluster import FaasCluster
 from repro.faas.controller import RetryPolicy
-from repro.faas.health import BreakerPolicy
+from repro.faas.health import NEVER_OPENS, BreakerPolicy
 from repro.faas.overload import OVERLOAD_DISABLED, OverloadConfig
 from repro.sim import Environment
 from repro.workload.functions import unique_nop_set
@@ -83,8 +83,10 @@ class TestDisabledConfigIsInvisible:
     def test_disabled_cluster_wires_no_control_plane(self):
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env, overload=OVERLOAD_DISABLED)
-        assert cluster.overload is None
-        assert cluster.router is None
+        shard = cluster.control_plane.shards[0]
+        assert shard.overload is None
+        assert shard.router.policy.name == "round_robin"
+        assert shard.router.healths[0].breaker.policy is NEVER_OPENS
 
 
 class TestUnboundDeadlineIsInvisible:
@@ -124,7 +126,7 @@ class TestUnboundDeadlineIsInvisible:
             workers=WORKERS,
             seed=SEED,
         )
-        stats = cluster.overload.stats
+        stats = cluster.control_plane.shards[0].overload.stats
         assert stats.shed == 0
         assert stats.cancelled == 0
         assert stats.deadline_rejected == 0

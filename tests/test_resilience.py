@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.faas.cluster import FaasCluster
 from repro.faas.controller import RetryPolicy
 from repro.faas.health import (
+    NEVER_OPENS,
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
@@ -255,7 +256,9 @@ class TestCrashRecovery:
         stats = cluster.controller.stats
         assert stats.succeeded == 8
         # The dead node's breaker opened after threshold failures.
-        assert cluster.health[0].breaker.stats.opens >= 1
+        dead = cluster.control_plane.shards[0].router.healths[0]
+        assert dead.node is cluster.node
+        assert dead.breaker.stats.opens >= 1
 
     def test_retry_exhaustion_counts(self):
         env = Environment()
@@ -374,7 +377,8 @@ class TestZeroOverhead:
         assert baseline == wired
         assert baseline_events == wired_events
         # And the machinery really was armed, just never triggered.
-        assert cluster.router is not None
+        breaker = cluster.control_plane.shards[0].router.healths[0].breaker
+        assert breaker.policy is not NEVER_OPENS
         assert cluster.controller.retries.enabled
         assert cluster.controller.stats.retried == 0
         assert cluster.fault_injector.stats.total == 0

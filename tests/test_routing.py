@@ -112,7 +112,7 @@ class TestRouterDedupRegression:
             return loads[health.node.name]
 
         new_router = _router(env, 4)
-        new_router.prefer_least_loaded(load_of)
+        new_router.policy = LeastLoadedPolicy(load_of)
         old_healths = new_router.healths  # same objects, same order
         next_index = 0
         load_patterns = [
