@@ -259,9 +259,11 @@ class HybridHistogramPolicy(CachePolicy):
         self._windows: Dict[
             str, Tuple[int, float, Optional[float], float]
         ] = {}
-        #: (last_use_ms, seq, key, stamp) lazy-invalidation heap: LRU
-        #: victim order; requeued (refused) victims re-enter at +inf.
-        self._heap: List[Tuple[float, int, str, int]] = []
+        #: (last_use_ms, seq, key) lazy-invalidation heap: LRU victim
+        #: order; requeued (refused) victims re-enter at +inf.
+        self._heap: List[Tuple[float, int, str]] = []
+        #: key -> seq of its live heap entry; ``seq`` never repeats, so
+        #: an entry from before a removal can never match again.
         self._stamp: Dict[str, int] = {}
         self._seq = 0
 
@@ -342,9 +344,8 @@ class HybridHistogramPolicy(CachePolicy):
         if sort_key is None:
             sort_key = self._last_use[key]
         self._seq += 1
-        stamp = self._stamp.get(key, 0) + 1
-        self._stamp[key] = stamp
-        heapq.heappush(self._heap, (sort_key, self._seq, key, stamp))
+        self._stamp[key] = self._seq
+        heapq.heappush(self._heap, (sort_key, self._seq, key))
 
     def on_insert(
         self,
@@ -392,8 +393,8 @@ class HybridHistogramPolicy(CachePolicy):
 
     def victim(self) -> Optional[str]:
         while self._heap:
-            sort_key, seq, key, stamp = self._heap[0]
-            if self._stamp.get(key) != stamp:
+            sort_key, seq, key = self._heap[0]
+            if self._stamp.get(key) != seq:
                 heapq.heappop(self._heap)  # stale entry
                 continue
             return key
@@ -433,7 +434,9 @@ class GreedyDualPolicy(CachePolicy):
         self._cost: Dict[str, float] = {}
         self._size: Dict[str, float] = {}
         self._priority: Dict[str, float] = {}
-        self._heap: List[Tuple[float, int, str, int]] = []
+        #: (priority, seq, key) lazy-invalidation heap.
+        self._heap: List[Tuple[float, int, str]] = []
+        #: key -> seq of its live heap entry (see HybridHistogramPolicy).
         self._stamp: Dict[str, int] = {}
         self._seq = 0
 
@@ -448,11 +451,8 @@ class GreedyDualPolicy(CachePolicy):
             self._freq[key] * self._cost[key] / self._size[key]
         )
         self._seq += 1
-        stamp = self._stamp.get(key, 0) + 1
-        self._stamp[key] = stamp
-        heapq.heappush(
-            self._heap, (self._priority[key], self._seq, key, stamp)
-        )
+        self._stamp[key] = self._seq
+        heapq.heappush(self._heap, (self._priority[key], self._seq, key))
 
     def on_insert(
         self,
@@ -486,8 +486,8 @@ class GreedyDualPolicy(CachePolicy):
 
     def victim(self) -> Optional[str]:
         while self._heap:
-            priority, seq, key, stamp = self._heap[0]
-            if self._stamp.get(key) != stamp:
+            priority, seq, key = self._heap[0]
+            if self._stamp.get(key) != seq:
                 heapq.heappop(self._heap)  # stale entry
                 continue
             return key
