@@ -1,12 +1,17 @@
 # Development entry points.
 
-.PHONY: install test bench perfgate chaos overload scale density keepalive repro repro-quick trace examples clean
+.PHONY: install test goldens bench perfgate chaos overload scale density keepalive repro repro-quick trace examples clean
 
 install:
 	pip install -e .
 
 test:
 	pytest tests/
+
+# The 21 quick-table sha256 goldens (tests/data/): the check for any
+# change meant to keep every experiment table byte-identical.
+goldens:
+	pytest -q tests/test_goldens.py
 
 # Timing suite + BENCH_<date>.json perf-trajectory artifact (engine
 # microbenchmarks plus serial-vs-parallel suite wall-clock).

@@ -12,9 +12,10 @@ Every cluster fronts its nodes with a
 ``shards`` asks for more — so the controller always routes through a
 :class:`~repro.faas.health.NodeRouter`.  Resilience is opt-in: a fault
 plan installs the injector (shared by the buses and every node), and
-any resilience knob (faults, retries, breaker, overload) arms the
-per-node circuit breakers; without one the breakers never open and
-every request is dispatched, whatever the node answered before.
+any resilience knob (faults, retries, breaker, an enabled overload
+config) arms the per-node circuit breakers; without one the breakers
+never open and every request is dispatched, whatever the node answered
+before.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.costs import CostBook, DEFAULT_COSTS
 from repro.faas.controller import RetryPolicy
 from repro.faas.health import BreakerPolicy
 from repro.faas.httpserver import ExternalHttpServer
-from repro.faas.overload import OverloadConfig
+from repro.faas.overload import OVERLOAD_DISABLED, OverloadConfig
 from repro.faas.records import FunctionSpec, InvocationResult
 from repro.faas.registry import FunctionRegistry
 from repro.faas.sharding import ShardedControlPlane
@@ -49,7 +50,7 @@ class FaasCluster:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         retries: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        overload: Optional[OverloadConfig] = None,
+        overload: OverloadConfig = OVERLOAD_DISABLED,
         shards: int = 1,
         routing: Optional[str] = None,
     ) -> None:
@@ -112,7 +113,7 @@ class FaasCluster:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         retries: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        overload: Optional[OverloadConfig] = None,
+        overload: OverloadConfig = OVERLOAD_DISABLED,
         shards: int = 1,
         routing: Optional[str] = None,
     ) -> "FaasCluster":
@@ -144,7 +145,7 @@ class FaasCluster:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         retries: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        overload: Optional[OverloadConfig] = None,
+        overload: OverloadConfig = OVERLOAD_DISABLED,
         shards: int = 1,
         routing: Optional[str] = None,
     ) -> "FaasCluster":

@@ -21,6 +21,10 @@ exponential backoff + seeded jitter (sim-clock based, so retry
 schedules replay deterministically), bounded by both an attempt count
 and a per-request backoff budget.  With the default single attempt the
 control flow adds no events, no RNG draws and no latency.
+
+Every controller owns an :class:`~repro.faas.overload.OverloadControl`
+(deadlines, admission queues, retry budget); the default one attaches
+no deadline, has no queue and grants every retry.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.errors import (
 )
 from repro.faas.health import NodeRouter
 from repro.faas.messagebus import MessageBus
-from repro.faas.overload import OverloadControl
+from repro.faas.overload import OVERLOAD_DISABLED, OverloadConfig, OverloadControl
 from repro.faas.quotas import DISABLED, QuotaConfig, QuotaEnforcer
 from repro.faas.records import (
     FunctionSpec,
@@ -162,7 +166,7 @@ class Controller:
         bus: Optional[MessageBus] = None,
         quotas: QuotaConfig = DISABLED,
         retries: Optional[RetryPolicy] = None,
-        overload: Optional[OverloadControl] = None,
+        overload: OverloadConfig = OVERLOAD_DISABLED,
         shard_id: int = 0,
     ) -> None:
         self.env = env
@@ -173,9 +177,8 @@ class Controller:
         #: Per-namespace throttling; the paper disables it (the default).
         self.quotas = QuotaEnforcer(quotas)
         self.retries = retries or NO_RETRIES
-        #: The overload control plane (deadlines, admission queues,
-        #: retry budget); ``None`` keeps the historical control flow.
-        self.overload = overload
+        #: The overload control plane; disabled by default.
+        self.overload = OverloadControl(env, overload)
         self._retry_rng = random.Random(self.retries.seed)
         self.stats = ControllerStats()
         #: Audit log of scheduled retries (empty unless retries fire).
@@ -224,8 +227,6 @@ class Controller:
             # node (historically it was dispatched with a 0.1 ms grace
             # timeout and burned node work nobody was waiting for).
             self.stats.deadline_rejected += 1
-            if self.overload is not None:
-                self.overload.stats.deadline_rejected += 1
             span.annotate(deadline_rejected=True)
             tracer = tracer_for(env)
             if tracer.enabled:
@@ -246,37 +247,33 @@ class Controller:
             )
         node = health.node
 
-        queue = None
-        if self.overload is not None:
-            queue = self.overload.queue_for(node)
-            if queue is not None and not queue.try_admit(request, env.now):
-                # Shed at admission: fail the attempt without recording
-                # a breaker failure (the node is congested, not broken).
-                error = QueueFullError(
-                    f"admission queue full on node (depth {queue.depth}, "
-                    f"policy {queue.policy.value})"
-                )
-                span.annotate(shed=True, error=str(error))
-                tracer = tracer_for(env)
-                if tracer.enabled:
-                    tracer.counter("overload.shed")
-                return NodeInvocation(
-                    path=InvocationPath.ERROR,
-                    success=False,
-                    latency_ms=0.0,
-                    error=str(error),
-                    function_key=fn.key,
-                    cancelled=True,
-                )
-
-        if request.deadline_ms is not None and self.overload is not None:
-            node_process = node.invoke(
-                fn,
-                deadline_ms=request.deadline_ms,
-                cancel_expired=self.overload.config.cancel_expired,
+        overload = self.overload
+        queue = overload.queue_for(node)
+        if queue is not None and not queue.try_admit(request, env.now):
+            # Shed at admission: fail the attempt without recording a
+            # breaker failure (the node is congested, not broken).
+            error = QueueFullError(
+                f"admission queue full on node (depth {queue.depth}, "
+                f"policy {queue.policy.value})"
             )
-        else:
-            node_process = node.invoke(fn)
+            span.annotate(shed=True, error=str(error))
+            tracer = tracer_for(env)
+            if tracer.enabled:
+                tracer.counter("overload.shed")
+            return NodeInvocation(
+                path=InvocationPath.ERROR,
+                success=False,
+                latency_ms=0.0,
+                error=str(error),
+                function_key=fn.key,
+                cancelled=True,
+            )
+
+        node_process = node.invoke(
+            fn,
+            deadline_ms=request.deadline_ms,
+            cancel_expired=overload.config.cancel_expired,
+        )
         if queue is not None:
             queue.attach(request, node_process)
         deadline = env.timeout(remaining)
@@ -287,14 +284,10 @@ class Controller:
             # interrupted so it releases its core, UC and memory now;
             # historically the node finishes (or fails) on its own.
             span.annotate(timed_out=True)
-            if (
-                self.overload is not None
-                and self.overload.config.cancel_expired
-                and node_process.cancel(
-                    DeadlineExceededError("client deadline expired")
-                )
+            if overload.config.cancel_expired and node_process.cancel(
+                DeadlineExceededError("client deadline expired")
             ):
-                self.overload.stats.cancelled += 1
+                overload.stats.cancelled += 1
                 span.annotate(cancelled=True)
                 tracer = tracer_for(env)
                 if tracer.enabled:
@@ -343,11 +336,7 @@ class Controller:
         request = InvocationRequest(
             function=fn,
             sent_at_ms=env.now,
-            deadline_ms=(
-                self.overload.deadline_for(env.now)
-                if self.overload is not None
-                else None
-            ),
+            deadline_ms=self.overload.deadline_for(env.now),
         )
         self.stats.received += 1
         tracer = tracer_for(env)
@@ -383,8 +372,7 @@ class Controller:
                     error=f"throttled: {reason}",
                 )
 
-            if self.overload is not None:
-                self.overload.note_admitted()
+            self.overload.note_admitted()
 
             try:
                 # API gateway -> controller -> Kafka.
@@ -440,7 +428,7 @@ class Controller:
                         if not node_result.success and self.retries.enabled:
                             self.stats.retry_exhausted += 1
                         break
-                    if self.overload is not None and not self.overload.allow_retry():
+                    if not self.overload.allow_retry():
                         # Cluster-wide retry budget spent: eat the failure
                         # rather than amplify overload into a retry storm.
                         self.stats.retry_exhausted += 1

@@ -24,11 +24,11 @@ capacity while overloaded:
   requests) layered under the per-request backoff policy, so correlated
   faults during overload cannot amplify into goodput collapse.
 
-Everything defaults **off**: :data:`OVERLOAD_DISABLED` attaches no
-deadlines, builds no queues and mints no tokens, and a cluster wired
-with it replays the exact event schedule of one built without the
-module at all (the zero-perturbation guarantee the regression tests
-lock down).
+Every controller holds an :class:`OverloadControl`, and everything in
+it defaults **off**: under :data:`OVERLOAD_DISABLED` it attaches no
+deadline, builds no queue and grants every retry, so the controller
+runs one control flow with the historical event schedule
+(``tests/test_default_paths.py`` and the quick-table goldens pin it).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ OVERLOAD_DISABLED = OverloadConfig()
 
 @dataclass
 class OverloadStats:
-    """Control-plane-side overload counters (one per cluster)."""
+    """Control-plane-side overload counters (one per shard)."""
 
     #: Requests shed at admission, by policy outcome.
     shed_newest: int = 0
@@ -124,8 +124,6 @@ class OverloadStats:
     shed_expired: int = 0
     #: In-flight node work cancelled by the controller on client expiry.
     cancelled: int = 0
-    #: Requests failed fast at the controller, already expired.
-    deadline_rejected: int = 0
     #: Retries denied by the cluster-wide token bucket.
     retry_budget_denied: int = 0
 
@@ -303,7 +301,7 @@ class AdmissionQueue:
 
 
 class OverloadControl:
-    """Cluster-wide coordinator: per-node queues + the retry budget."""
+    """One shard's coordinator: per-node queues + the retry budget."""
 
     def __init__(self, env: Environment, config: OverloadConfig) -> None:
         self.env = env

@@ -31,10 +31,12 @@ occupancy, admission-queue depth) so shards see each other's load.
 
 Every :class:`~repro.faas.cluster.FaasCluster` is built on this plane,
 one shard by default; the quick-table goldens pin the one-shard event
-schedule.  Two defaults hold for any shard count: routing is
+schedule.  Every shard owns an overload plane, disabled
+(:data:`~repro.faas.overload.OVERLOAD_DISABLED`) unless ``overload``
+says otherwise.  Two defaults hold for any shard count: routing is
 round-robin unless admission queues are on (then least-loaded by queue
 depth), and circuit breakers only trip when a resilience knob (faults,
-retries, breaker, overload) is given.
+retries, breaker, an enabled overload config) is given.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.faas.health import (
     NodeRouter,
 )
 from repro.faas.messagebus import MessageBus
-from repro.faas.overload import OverloadConfig, OverloadControl
+from repro.faas.overload import OVERLOAD_DISABLED, OverloadConfig, OverloadControl
 from repro.faas.records import FunctionSpec, InvocationResult
 from repro.faas.routing import (
     RoutingPolicy,
@@ -165,12 +167,12 @@ class ControlPlaneShard:
         shard_id: int,
         controller: Controller,
         router: NodeRouter,
-        overload: Optional[OverloadControl],
     ) -> None:
         self.shard_id = shard_id
         self.controller = controller
         self.router = router
-        self.overload = overload
+        #: The controller's admission queues and retry budget.
+        self.overload = controller.overload
         #: Requests this shard was handed by the hash ring.
         self.dispatched = 0
 
@@ -213,7 +215,7 @@ class ShardedControlPlane:
         shim_factory: Optional[Callable[[int], object]] = None,
         retries: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
-        overload: Optional[OverloadConfig] = None,
+        overload: OverloadConfig = OVERLOAD_DISABLED,
         injector=None,
         hash_replicas: int = DEFAULT_HASH_REPLICAS,
     ) -> None:
@@ -224,27 +226,16 @@ class ShardedControlPlane:
         self.env = env
         self.costs = costs
         self.nodes = list(nodes)
-        if overload is not None and not overload.enabled:
-            overload = None
         if breaker is None:
             resilient = (
-                injector is not None
-                or retries is not None
-                or overload is not None
+                injector is not None or retries is not None or overload.enabled
             )
             breaker = DEFAULT_BREAKER if resilient else NEVER_OPENS
         self.breaker_policy = breaker
-        self.overload_config = overload
         self.ring = ConsistentHashRing(range(shards), replicas=hash_replicas)
         self.shards: List[ControlPlaneShard] = []
         for shard_id in range(shards):
-            shard_overload = (
-                OverloadControl(env, overload) if overload is not None else None
-            )
             router = NodeRouter(env=env)
-            policy = self._build_policy(routing, shard_overload)
-            if policy is not None:
-                router.policy = policy
             controller = Controller(
                 env,
                 router,
@@ -252,17 +243,20 @@ class ShardedControlPlane:
                 shim=shim_factory(shard_id) if shim_factory else None,
                 bus=MessageBus(env, injector=injector),
                 retries=retries,
-                overload=shard_overload,
+                overload=overload,
                 shard_id=shard_id,
             )
-            shard = ControlPlaneShard(shard_id, controller, router, shard_overload)
+            policy = self._build_policy(routing, controller.overload)
+            if policy is not None:
+                router.policy = policy
+            shard = ControlPlaneShard(shard_id, controller, router)
             self.shards.append(shard)
             for node in self.nodes:
                 self._attach(shard, node)
 
     # -- wiring ------------------------------------------------------------
     def _build_policy(
-        self, routing, shard_overload: Optional[OverloadControl]
+        self, routing, shard_overload: OverloadControl
     ) -> Optional[RoutingPolicy]:
         """Resolve the routing knob into one shard's policy instance.
 
@@ -271,10 +265,7 @@ class ShardedControlPlane:
         then the default policy is least-loaded), falling back to
         node-global core occupancy.
         """
-        queued = (
-            shard_overload is not None
-            and shard_overload.config.queue_depth is not None
-        )
+        queued = shard_overload.config.queue_depth is not None
         if queued:
             load_of = lambda health: shard_overload.depth_of(health.node)  # noqa: E731
         else:
@@ -291,8 +282,7 @@ class ShardedControlPlane:
         shard.router.add(
             NodeHealth(node, CircuitBreaker(self.env, self.breaker_policy))
         )
-        if shard.overload is not None:
-            shard.overload.register_node(node)
+        shard.overload.register_node(node)
 
     def add_node(self, node) -> None:
         """Join an initialized compute node to every shard's rotation."""

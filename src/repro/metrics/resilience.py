@@ -130,11 +130,8 @@ class ResilienceReport:
         # Overloads, buses and breakers are owned per shard; fold every
         # shard's copy into the report.
         for shard in plane.shards:
-            if shard.overload is not None:
-                report.shed += shard.overload.stats.shed
-                report.retry_budget_denied += (
-                    shard.overload.stats.retry_budget_denied
-                )
+            report.shed += shard.overload.stats.shed
+            report.retry_budget_denied += shard.overload.stats.retry_budget_denied
             for topic_stats in shard.controller.bus.stats.values():
                 report.bus_dropped += topic_stats.dropped
                 report.bus_delayed += topic_stats.delayed

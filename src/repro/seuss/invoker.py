@@ -173,6 +173,15 @@ def invoke_on_node(
         core_acquired_at = env.now
         root.done(STAGE_QUEUE_WAIT, queue_started, env.now)
         check_deadline()
+        if (
+            path is InvocationPath.WARM
+            and node.snapshot_cache.peek(fn.key) is not fn_snapshot
+        ):
+            # Evicted or quarantined while this invocation waited for a
+            # core: the snapshot is deleted or suspect, so rebuild cold.
+            path = InvocationPath.COLD
+            fn_snapshot = None
+            root.annotate(path=path.value)
         try:
             if path is not InvocationPath.HOT:
                 runtime_record = node.runtime_record(fn.runtime)

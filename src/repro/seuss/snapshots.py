@@ -98,6 +98,10 @@ class SnapshotCache:
             tracer.event("snapshot_cache.hit", key=key)
         return snapshot
 
+    def peek(self, key: str) -> Optional[Snapshot]:
+        """The cached snapshot for ``key``, without counting a lookup."""
+        return self._entries.get(key)
+
     def put(self, key: str, snapshot: Snapshot) -> bool:
         """Insert a snapshot, evicting policy victims to fit the budget.
 

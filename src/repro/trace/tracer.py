@@ -4,8 +4,8 @@ A :class:`Tracer` records nested :class:`Span`\\ s, instant events and
 counter samples stamped with **simulated** milliseconds.  It is a pure
 observer: recording never schedules events, draws random numbers or
 advances the clock, so a traced run replays the exact event schedule of
-an untraced one (the zero-perturbation guarantee the regression tests
-lock down).
+an untraced one (``tests/test_default_paths.py`` compares the tables of
+a traced and an untraced seeded suite).
 
 Attachment model
 ----------------

@@ -8,7 +8,10 @@ overflow heap, and population swings that force resizes and rebases.
 The oracles (``heapq`` itself, :class:`tests.heap_oracle.HeapQueue` and
 the :class:`tests.heap_oracle.HeapEngine` reference engine) live under
 ``tests/``; the engine runs on the calendar queue alone.  Every test is
-seeded; failures reproduce deterministically.
+seeded; failures reproduce deterministically.  The engine's edge
+semantics (empty peek/step, past deadlines, event limits, draining)
+are pinned here too, with the queue-level edges checked on both the
+calendar queue and the heap oracle.
 """
 
 import heapq
@@ -16,7 +19,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.sim.calendar import GROW_FACTOR, MIN_BUCKETS, CalendarQueue
 from tests.heap_oracle import HeapEngine, HeapQueue
 
@@ -442,3 +445,122 @@ class TestBatchScheduling:
         env.run()
         assert env.now == float(n - 1)
         assert env.events_processed == n
+
+
+class TestEdgeSemanticsAcrossBackends:
+    """Edge semantics once pinned identical on the calendar and heap
+    engines.  The engine now owns one calendar queue: the engine-level
+    behaviour is pinned on it, and the queue-level edge underneath is
+    checked on both the calendar queue and the heap oracle."""
+
+    @QUEUES
+    def test_peek_empty_queue_is_inf(self, queue_cls):
+        assert queue_cls().head() is None
+        assert Environment().peek() == float("inf")
+
+    @QUEUES
+    def test_step_empty_queue_raises(self, queue_cls):
+        with pytest.raises(IndexError):
+            queue_cls().pop()
+        env = Environment()
+        with pytest.raises(SimulationError, match="event queue is empty"):
+            env.step()
+
+    def test_run_until_past_deadline_raises_value_error(self):
+        env = Environment(initial_time=100.0)
+        with pytest.raises(ValueError) as excinfo:
+            env.run(until=99.5)
+        assert str(excinfo.value) == "until=99.5 is in the past (now=100.0)"
+
+    @QUEUES
+    def test_run_until_now_is_a_noop(self, queue_cls):
+        queue = queue_cls()
+        queue.push((105.0, 1, 1, None), 100.0)
+        assert queue.head()[0] > 100.0  # nothing due at the deadline
+        env = Environment(initial_time=100.0)
+        env.timeout(5.0)
+        env.run(until=100.0)
+        assert env.now == 100.0
+        assert env.events_processed == 0
+
+    def test_event_limit_message_identical(self):
+        env = Environment()
+
+        def ticker():
+            while True:
+                yield env.timeout(1.0)
+
+        env.process(ticker())
+        with pytest.raises(SimulationError) as excinfo:
+            env.run(limit=10)
+        assert str(excinfo.value) == "event limit of 10 reached at t=9.0"
+
+    def test_run_until_event_with_empty_queue_raises(self):
+        env = Environment()
+        target = env.event()
+        with pytest.raises(
+            SimulationError, match="event queue empty before target event"
+        ):
+            env.run(until=target)
+
+    def test_run_until_mid_gap_deadline_advances_clock(self):
+        env = Environment()
+        fired = []
+        t = env.timeout(10.0)
+        t.callbacks.append(lambda ev: fired.append(env.now))
+        env.run(until=4.5)
+        assert env.now == 4.5
+        assert fired == []
+        env.run(until=20.0)
+        assert fired == [10.0]
+        assert env.now == 20.0
+
+    def test_peek_then_pop_order_preserved(self):
+        """peek() must not disturb pop order (calendar head() rotates)."""
+        env = Environment()
+        fired = []
+        for delay in (3.0, 1.0, 2.0, 1.0):
+            t = env.timeout(delay, value=delay)
+            t.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
+        assert env.peek() == 1.0
+        env.step()
+        assert env.peek() == 1.0
+        env.run()
+        assert fired == [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
+    def test_drain_run_returns_none_and_counts_events(self):
+        env = Environment()
+        for delay in (1.0, 2.0, 3.0):
+            env.timeout(delay)
+        assert env.run() is None
+        assert env.events_processed == 3
+        assert env.peek() == float("inf")
+
+    def test_queue_edges_match_heap_oracle(self):
+        """Empty head/pop and head-before-pop on the calendar queue behave
+        like the heap oracle, including same-time ties and delay-0
+        entries pushed after the clock moved."""
+        queues = [CalendarQueue(), HeapQueue()]
+        for q in queues:
+            assert q.head() is None
+            with pytest.raises(IndexError):
+                q.pop()
+        entries = [(3.0, 1, 1, "c"), (1.0, 1, 2, "a"), (2.0, 1, 3, "b"),
+                   (1.0, 1, 4, "a2")]
+        for q in queues:
+            for entry in entries:
+                q.push(entry, 0.0)
+        calendar, heap = queues
+        assert calendar.head() is heap.head()
+        assert calendar.pop() is heap.pop()
+        assert calendar.head() is heap.head()
+        late = (1.0, 1, 5, "now")
+        for q in queues:
+            q.push(late, 1.0)
+        popped = []
+        while heap:
+            assert calendar.head() is heap.head()
+            popped.append(heap.pop())
+            assert calendar.pop() is popped[-1]
+        assert [entry[3] for entry in popped] == ["a2", "now", "b", "c"]
+        assert calendar.head() is None

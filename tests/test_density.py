@@ -14,6 +14,11 @@ from repro.experiments.density import (
     _functions_per_gb,
     run_density_trial,
 )
+from repro.faas.cluster import FaasCluster
+from repro.metrics.resilience import ResilienceReport
+from repro.seuss.config import SeussConfig
+from repro.sim import Environment
+from repro.workload.functions import unique_nop_set
 
 pytestmark = pytest.mark.density
 
@@ -77,6 +82,32 @@ class TestRetroScannerCost:
         )
         assert slow.dedup.merged_pages < fast.dedup.merged_pages
         assert phys_slow > phys_fast
+
+
+class TestDedupWiring:
+    def test_dedup_on_wires_a_domain(self):
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env, config=SeussConfig(page_dedup=True)
+        )
+        for node in cluster.nodes:
+            assert node.dedup is not None
+            assert node.dedup.capture_enabled
+            assert node.dedup.scanner is None
+
+    def test_resilience_report_sees_dedup(self):
+        # The report finds dedup domains through cluster.nodes.
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env, config=SeussConfig(page_dedup=True, dedup_scanner=True)
+        )
+        for fn in unique_nop_set(4, owner_prefix="tenant"):
+            assert cluster.invoke_sync(fn).success
+        env.run(until=env.now + 2_000)
+        report = ResilienceReport.from_cluster(cluster)
+        assert report.dedup_merged_pages > 0
+        assert report.dedup_scan_ms > 0
+        assert any(line.startswith("dedup:") for line in report.lines())
 
 
 class TestRegistration:

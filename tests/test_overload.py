@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
 from repro.experiments.overload import (
     DEADLINE_MS,
+    FUNCTION_COUNT,
     cluster_capacity_rps,
     run_overload,
     run_overload_trial,
@@ -78,9 +80,21 @@ class TestOverloadConfig:
         env = Environment()
         cluster = FaasCluster.with_seuss_node(env, overload=OVERLOAD_DISABLED)
         shard = cluster.control_plane.shards[0]
-        assert shard.overload is None
+        assert shard.overload.config is OVERLOAD_DISABLED
+        assert shard.overload.queue_for(cluster.node) is None
+        assert shard.overload.retry_budget is None
         # A disabled config is no resilience knob: breakers never open.
         assert shard.router.healths[0].breaker.policy is NEVER_OPENS
+
+    def test_direct_controller_holds_a_disabled_plane(self):
+        from repro.faas.controller import Controller
+        from repro.faas.health import NodeRouter
+
+        env = Environment()
+        controller = Controller(env, NodeRouter(env=env), DEFAULT_COSTS.platform)
+        assert controller.overload.config is OVERLOAD_DISABLED
+        assert controller.overload.deadline_for(env.now) is None
+        assert controller.overload.allow_retry()
 
 
 # -- retry budget ---------------------------------------------------------
@@ -242,8 +256,7 @@ class TestDeadlineFailFast:
         assert cluster.node.stats.total == 0  # node untouched
         assert cluster.controller.stats.deadline_rejected == 1
         assert cluster.controller.stats.timed_out == 0
-        overload = cluster.control_plane.shards[0].overload
-        assert overload.stats.deadline_rejected == 1
+        assert cluster.control_plane.controller_stats().deadline_rejected == 1
 
     def test_report_surfaces_the_rejection(self):
         env = Environment()
@@ -309,7 +322,6 @@ class TestCancellation:
 class TestCountersSurface:
     def test_quota_rejections_emit_tracer_counters(self):
         from repro import trace
-        from repro.costs import DEFAULT_COSTS
         from repro.faas.controller import Controller
         from repro.faas.health import CircuitBreaker, NodeHealth, NodeRouter
         from repro.faas.quotas import QuotaConfig
@@ -373,6 +385,24 @@ class TestGoodput:
         assert goodput_per_sec(results, 1000.0) == 2.0
         assert goodput_per_sec(results, 0.0) == 0.0
         assert goodput_per_sec([], 500.0) == 0.0
+
+
+# -- request ledger across the arms ---------------------------------------
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["calm", "chaos"])
+@pytest.mark.parametrize("controlled", [False, True], ids=["naive", "ctrl"])
+def test_request_ledger_balances(controlled, chaos):
+    """Requests in = requests out on every arm, past capacity: each
+    request the controllers received (the warmup pass plus every
+    measured arrival) ends exactly once, succeeded or failed.  The
+    report's counters are ``control_plane.controller_stats()``."""
+    recorder, report, _ = run_overload_trial(
+        3.0, duration_ms=1000.0, controlled=controlled, chaos=chaos
+    )
+    assert report.received == FUNCTION_COUNT + len(recorder.results)
+    assert report.received == report.succeeded + report.failed
+    assert report.failed > 0  # 3x capacity: the ledger is not trivial
 
 
 # -- acceptance (deterministic, fixed seeds) ------------------------------

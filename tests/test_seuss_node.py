@@ -10,7 +10,7 @@ from repro.seuss.config import AOLevel, SeussConfig
 from repro.seuss.node import SeussNode
 from repro.seuss.security import attack_surface_reduction_factor, interface_comparison
 from repro.sim import Environment
-from repro.workload.functions import nop_function
+from repro.workload.functions import cpu_bound_function, nop_function
 from tests.conftest import make_seuss_node
 
 
@@ -161,6 +161,29 @@ class TestMemoryPressure:
         seuss_node.uc_cache.drop_function(fn.key)
         assert cached.refcount == 1  # only the cache's reference
 
+
+
+class TestSnapshotLostWhileQueued:
+    """A warm invocation queued for a core whose snapshot leaves the
+    cache meanwhile (evicted, or quarantined by another restore) must
+    rebuild cold, not deploy from a deleted snapshot."""
+
+    @pytest.mark.parametrize("remove", ["evict_key", "quarantine"])
+    def test_queued_warm_invocation_falls_back_to_cold(self, remove):
+        node = make_seuss_node(cores=1)
+        env = node.env
+        fn = nop_function()
+        assert node.invoke_sync(fn).path is InvocationPath.COLD
+        node.uc_cache.drop_function(fn.key)  # next call is warm
+        blocker = node.invoke(cpu_bound_function("slow", exec_ms=100.0))
+        queued = node.invoke(fn)
+        env.run(until=env.now + 1.0)  # both started; fn waits for the core
+        assert not blocker.processed
+        assert getattr(node.snapshot_cache, remove)(fn.key)
+        result = env.run(until=queued)
+        assert result.success, result.error
+        assert result.path is InvocationPath.COLD
+        assert fn.key in node.snapshot_cache  # the cold rebuild re-cached it
 
 class TestSecurityModel:
     def test_attack_surface_reduction(self):

@@ -192,8 +192,13 @@ class TestShardedControlPlane:
             overload=OverloadConfig(deadline_ms=500.0, queue_depth=4),
         )
         first, second = plane.shards
-        assert first.overload is not None
+        assert first.overload is first.controller.overload
         assert first.overload is not second.overload
+        assert first.overload.queue_for(node) is not None
+        assert (
+            first.overload.queue_for(node)
+            is not second.overload.queue_for(node)
+        )
         assert first.controller.bus is not second.controller.bus
         assert first.router is not second.router
         # Same node, but a breaker per shard.
