@@ -1,6 +1,6 @@
 # Development entry points.
 
-.PHONY: install test goldens bench perfgate chaos overload scale density keepalive repro repro-quick trace examples clean
+.PHONY: install test goldens bench perfgate perfbench chaos overload scale density keepalive repro repro-quick trace examples clean
 
 install:
 	pip install -e .
@@ -28,6 +28,16 @@ bench:
 #   python -m benchmarks.perf_gate --update-baseline
 perfgate:
 	python -m benchmarks.perf_gate --check --out perf-gate.json
+
+# The repository benchmark (BENCHMARK.json): every workload, untraced,
+# seed 1 — the end-to-end numbers a performance change is judged on.
+PERFBENCH_WORKLOADS := paper_suite seuss_zipf fleet_keepalive
+
+perfbench:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 30 --trace 0 || exit 1; \
+	done
 
 # Fault-injection acceptance suite + degradation sweep (fixed seeds).
 chaos:

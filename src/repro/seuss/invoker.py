@@ -144,7 +144,7 @@ def invoke_on_node(
             path = InvocationPath.HOT
             fn_snapshot = None
         else:
-            fn_snapshot = node.snapshot_cache.get(fn.key)
+            fn_snapshot = node.snapshot_cache.lookup(fn.key)
             if fn_snapshot is not None:
                 if injector is not None and injector.snapshot_corrupts_on_restore():
                     fn_snapshot.corrupt()
@@ -156,6 +156,7 @@ def invoke_on_node(
                     fn_snapshot.verify()
                 except SnapshotCorruptionError:
                     node.snapshot_cache.quarantine(fn.key)
+                    node.snapshot_cache.record(fn.key, hit=False)
                     root.event(
                         "fault.snapshot_quarantined", at=env.now, key=fn.key
                     )
@@ -173,9 +174,8 @@ def invoke_on_node(
         core_acquired_at = env.now
         root.done(STAGE_QUEUE_WAIT, queue_started, env.now)
         check_deadline()
-        if (
-            path is InvocationPath.WARM
-            and node.snapshot_cache.peek(fn.key) is not fn_snapshot
+        if path is InvocationPath.WARM and not node.snapshot_cache.claim(
+            fn.key, fn_snapshot
         ):
             # Evicted or quarantined while this invocation waited for a
             # core: the snapshot is deleted or suspect, so rebuild cold.

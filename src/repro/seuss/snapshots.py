@@ -84,19 +84,49 @@ class SnapshotCache:
 
     # -- cache operations ---------------------------------------------------
     def get(self, key: str) -> Optional[Snapshot]:
+        """Look ``key`` up and count the lookup as a hit or a miss."""
+        snapshot = self.lookup(key)
+        if snapshot is not None:
+            self.record(key, hit=True)
+        return snapshot
+
+    def lookup(self, key: str) -> Optional[Snapshot]:
+        """Find ``key``'s snapshot for a deploy, without counting a hit.
+
+        The policy sees the access now; an absent key counts as a miss.
+        A found snapshot may still fail to serve the deploy — quarantined
+        as corrupt, or evicted while its invocation queued — so the
+        caller counts the outcome once it knows: :meth:`claim` when the
+        deploy goes ahead, :meth:`record` a miss otherwise.
+        """
         snapshot = self._entries.get(key)
         if snapshot is None:
+            self.record(key, hit=False)
+        else:
+            self._policy.on_hit(key)
+        return snapshot
+
+    def claim(self, key: str, snapshot: Snapshot) -> bool:
+        """Count a found snapshot's deploy: a hit if it is still cached.
+
+        Returns ``False`` (and counts a miss) when ``snapshot`` was
+        evicted or quarantined since :meth:`lookup` found it.
+        """
+        served = self._entries.get(key) is snapshot
+        self.record(key, hit=served)
+        return served
+
+    def record(self, key: str, hit: bool) -> None:
+        """Count one lookup outcome: ``hit`` when a snapshot was deployed."""
+        if hit:
+            self.stats.hits += 1
+        else:
             self.stats.misses += 1
-            tracer = _active_tracer()
-            if tracer.enabled:
-                tracer.event("snapshot_cache.miss", key=key)
-            return None
-        self._policy.on_hit(key)
-        self.stats.hits += 1
         tracer = _active_tracer()
         if tracer.enabled:
-            tracer.event("snapshot_cache.hit", key=key)
-        return snapshot
+            tracer.event(
+                "snapshot_cache.hit" if hit else "snapshot_cache.miss", key=key
+            )
 
     def peek(self, key: str) -> Optional[Snapshot]:
         """The cached snapshot for ``key``, without counting a lookup."""

@@ -302,6 +302,9 @@ class CalendarQueue:
         if best is not None:
             return best
         if self._size == 0:
+            if self._bi:
+                del bucket[:]
+                self._bi = 0
             return None
         self._advance()
         return self.head()
@@ -315,12 +318,15 @@ class CalendarQueue:
         called when every earlier region is exhausted, so skipped
         buckets are provably empty of live entries.
         """
-        if self._size == 0:
-            raise IndexError("pop from an empty calendar queue")
         bucket = self._buckets[self._active]
         if self._bi:
+            # Release the popped prefix, also when the queue has just
+            # drained: popped entries hold their events, and an event
+            # holds the environment that owns this queue.
             del bucket[:]
             self._bi = 0
+        if self._size == 0:
+            raise IndexError("pop from an empty calendar queue")
         scanned = 0
         if self._size == len(self._overflow):
             # Only far-future entries remain: skip the rest of this

@@ -332,15 +332,30 @@ class Condition(Event):
         if not events:
             self.succeed({})
 
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event._state is PROCESSED
-        }
-
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _settle(self) -> dict:
+        """Detach the settled condition; return its processed values.
+
+        Unsubscribes from every component already triggered OK (a
+        scheduled timeout, a finished process): it can no longer fail,
+        so it needs no defusing, and left subscribed it would keep this
+        condition — and through ``_events`` every other component, such
+        as the process that won a deadline race — alive until it fires.
+        It still fires, as an empty event, so event counts and insertion
+        ids are unchanged.  Pending components stay subscribed: their
+        later failure must still be defused.
+        """
+        check = self._check
+        values = {}
+        for event in self._events:
+            state = event._state
+            if state is PROCESSED:
+                values[event] = event._value
+            elif state is TRIGGERED and event._ok:
+                event.callbacks.remove(check)
+        return values
 
 
 class AllOf(Condition):
@@ -356,10 +371,11 @@ class AllOf(Condition):
             event._defused = True
             if self._state is PENDING:
                 self.fail(event._value)
+                self._settle()
             return
         self._outstanding -= 1
         if not self._outstanding and self._state is PENDING:
-            self.succeed(self._collect())
+            self.succeed(self._settle())
 
 
 class AnyOf(Condition):
@@ -372,8 +388,9 @@ class AnyOf(Condition):
             event._defused = True
             if self._state is PENDING:
                 self.fail(event._value)
+                self._settle()
         elif self._state is PENDING:
-            self.succeed(self._collect())
+            self.succeed(self._settle())
 
 
 class Environment:

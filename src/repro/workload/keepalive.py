@@ -95,16 +95,30 @@ class _Entry:
     prewarmed_at: Optional[float] = None
 
 
+class _Clock:
+    """The replay clock a lab's policy reads.
+
+    A separate object, not a closure over the lab, so the policy holds
+    no reference back to the lab and a finished replay dies by refcount.
+    """
+
+    __slots__ = ("now",)
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 class _Lab:
     """The policy-managed cache state machine behind :func:`replay_keepalive`."""
 
     def __init__(self, trace: FleetTrace, config: KeepAliveConfig) -> None:
         self.trace = trace
         self.config = config
-        self._now = 0.0
-        self.policy: CachePolicy = make_policy(
-            config.policy, clock=lambda: self._now
-        )
+        self._clock = _Clock()
+        self.policy: CachePolicy = make_policy(config.policy, clock=self._clock)
         self.entries: Dict[int, _Entry] = {}
         self.resident_mb = 0.0
         self.result = KeepAliveResult(
@@ -193,9 +207,11 @@ class _Lab:
             attempts -= 1
             key = self.policy.victim()
             fn = int(key) if key is not None else None
-            if fn is None or fn not in self.entries:
-                # Policy lost track (shouldn't happen); fall back to any.
-                fn = next(iter(self.entries))
+            if fn not in self.entries:
+                raise RuntimeError(
+                    f"{self.policy.name} policy chose {key!r}, "
+                    f"which the keep-alive lab does not hold"
+                )
             victim = self.entries[fn]
             if victim.busy_until > at_ms:
                 if fn in seen_busy:
@@ -254,7 +270,7 @@ class _Lab:
 
     # -- the arrival path -------------------------------------------------
     def arrival(self, index: int, now_ms: float) -> None:
-        self._now = now_ms
+        self._clock.now = now_ms
         self._drain_due(now_ms)
         fn = self.trace.function_ids[index]
         exec_ms = self.trace.exec_ms[fn]
@@ -278,7 +294,7 @@ class _Lab:
         self._schedule_expiry(fn, entry)
 
     def finish(self, end_ms: float) -> KeepAliveResult:
-        self._now = end_ms
+        self._clock.now = end_ms
         self._drain_due(end_ms)
         self._advance(end_ms)
         # Pre-warmed instances still resident and unused at the end

@@ -310,20 +310,23 @@ def _replay_trace_batched(cluster, trace: Sequence[TraceEntry], epoch_size: int)
         if len(results) == total:
             done.succeed()
 
-    def launch(event, entry: TraceEntry) -> None:
-        cluster.invoke(entry.function).callbacks.append(collect)
+    # Arrivals fire in injection order, so one shared cursor over the
+    # trace tells each arrival timeout which entry it launches.
+    cursor = iter(trace).__next__
+
+    def launch(event) -> None:
+        cluster.invoke(cursor().function).callbacks.append(collect)
 
     def driver():
         for start in range(0, total, epoch_size):
-            chunk = trace[start : start + epoch_size]
             now = env.now
             timeouts = env.timeout_batch(
-                [max(0.0, entry.at_ms - now) for entry in chunk]
+                [
+                    max(0.0, entry.at_ms - now)
+                    for entry in trace[start : start + epoch_size]
+                ],
+                callback=launch,
             )
-            for timeout, entry in zip(timeouts, chunk):
-                timeout.callbacks.append(
-                    lambda event, entry=entry: launch(event, entry)
-                )
             # Hold the next epoch back until this one's arrivals fired,
             # keeping at most epoch_size arrival timeouts in the queue.
             yield timeouts[-1]

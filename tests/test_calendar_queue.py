@@ -14,6 +14,7 @@ are pinned here too, with the queue-level edges checked on both the
 calendar queue and the heap oracle.
 """
 
+import gc
 import heapq
 import random
 
@@ -564,3 +565,42 @@ class TestEdgeSemanticsAcrossBackends:
             assert calendar.pop() is popped[-1]
         assert [entry[3] for entry in popped] == ["a2", "now", "b", "c"]
         assert calendar.head() is None
+
+
+class TestDrainedQueueReleasesEntries:
+    """Popped entries must not outlive a drained queue: each holds its
+    event, and an event holds the environment that owns the queue."""
+
+    @pytest.mark.parametrize("drain", ["pop", "head"])
+    def test_drained_queue_holds_no_entries(self, drain):
+        queue = CalendarQueue()
+        for eid, when in enumerate([5.0, 5.5, 6.0, 300.0], 1):
+            queue.push((when, 1, eid, object()), 0.0)
+        while queue:
+            queue.pop()
+        if drain == "pop":
+            with pytest.raises(IndexError):
+                queue.pop()
+        else:
+            assert queue.head() is None
+        assert not any(queue._buckets)
+
+    @pytest.mark.parametrize("until", [None, 1_000.0])
+    def test_exhausted_environment_is_not_cyclic_garbage(self, until):
+        def ticker(env):
+            for _ in range(50):
+                yield env.timeout(1.0)
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            env = Environment()
+            env.process(ticker(env))
+            env.run(until=until)
+            del env
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigError
@@ -13,9 +16,20 @@ from repro.faas import (
     InvocationPath,
     MessageBus,
 )
+from repro.faas.records import NodeInvocation
 from repro.seuss.config import SeussConfig
-from repro.sim import Environment
-from repro.workload.functions import io_bound_function, nop_function
+from repro.sim import AnyOf, Environment
+from repro.workload.functions import (
+    io_bound_function,
+    nop_function,
+    unique_nop_set,
+)
+from repro.workload.traces import (
+    PoissonArrivals,
+    ZipfPopularity,
+    replay_trace,
+    synthesize_trace,
+)
 
 
 class TestFunctionSpec:
@@ -200,3 +214,70 @@ class TestControllerAndCluster:
         assert result.error == "request timed out"
         assert result.latency_ms == pytest.approx(60_000, rel=0.02)
         assert cluster.controller.stats.timed_out == 1
+
+
+def _nop_replay(probe=None, probe_at_ms=15_000.0):
+    """2,000 Zipf NOP invocations at 100/s through one SEUSS node.
+
+    ``probe(cluster)``, when given, runs at ``probe_at_ms`` of sim time.
+    """
+    env = Environment()
+    cluster = FaasCluster.with_seuss_node(env)
+    trace = synthesize_trace(
+        unique_nop_set(50),
+        PoissonArrivals(100.0, seed=1),
+        ZipfPopularity(50, 1.2, seed=2),
+        2_000,
+    )
+    if probe is not None:
+        env.timeout(probe_at_ms).callbacks.append(lambda event: probe(cluster))
+    return replay_trace(cluster, trace, batched=True)
+
+
+class TestFinishedWorkDiesByRefcount:
+    """A controller attempt's deadline race must not outlive its answer.
+
+    Each attempt races the node process against a timer of up to
+    ``request_timeout_ms`` (60 s).  The losing timer stays queued, so it
+    must not keep the race — and through it the node process and its
+    ``NodeInvocation`` — alive.
+    """
+
+    def test_live_races_bounded_by_in_flight_requests(self):
+        seen = {}
+
+        def probe(cluster):
+            gc.collect()
+            live = Counter(
+                type(obj) for obj in gc.get_objects()
+                if type(obj) in (AnyOf, NodeInvocation)
+            )
+            stats = cluster.controller.stats
+            seen["sent"] = stats.received
+            seen["in_flight"] = stats.received - stats.succeeded - stats.failed
+            seen["races"] = live[AnyOf]
+            seen["node_results"] = live[NodeInvocation]
+
+        results = _nop_replay(probe)
+        assert len(results) == 2_000
+        # Every request sent so far is within the last 60 s.
+        assert seen["sent"] > 1_000
+        assert seen["races"] <= seen["in_flight"]
+        assert seen["node_results"] <= seen["in_flight"]
+
+    def test_cyclic_garbage_per_request_bounded(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            requests = len(_nop_replay())
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        # What is left are the per-function node structures and, per
+        # request, the queued tombstone of its losing deadline timer
+        # (timer, queue entry, callback list): about 4.2 objects per
+        # request.  A race that stays subscribed to its timer adds the
+        # race, the node process, its generator and its result: 14.2.
+        assert garbage / requests < 6.0

@@ -11,6 +11,8 @@ rate at equal memory — carries the ``keepalive`` marker.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -20,6 +22,7 @@ from repro.workload.fleet import (
     FleetTraceConfig,
     synthesize_fleet_trace,
 )
+from repro.workload import keepalive
 from repro.workload.keepalive import (
     KeepAliveConfig,
     race_policies,
@@ -196,6 +199,35 @@ class TestKeepAliveReplay:
         assert result.prewarms > 0
         assert result.prewarm_hits > 0
         assert result.prewarm_wasted_ms >= 0.0
+
+    def test_victim_the_lab_does_not_hold_raises(self, trace, monkeypatch):
+        real = keepalive.make_policy
+
+        def lost_track(name, clock=None):
+            policy = real(name, clock=clock)
+            policy.victim = lambda: "-1"
+            return policy
+
+        monkeypatch.setattr(keepalive, "make_policy", lost_track)
+        with pytest.raises(RuntimeError, match="does not hold"):
+            replay_keepalive(
+                trace, KeepAliveConfig(policy="lru", memory_budget_mb=512.0)
+            )
+
+    @pytest.mark.parametrize("policy", ["lru", "hybrid"])
+    def test_finished_replay_leaves_no_cyclic_garbage(self, trace, policy):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            replay_keepalive(
+                trace, KeepAliveConfig(policy=policy, memory_budget_mb=512.0)
+            )
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

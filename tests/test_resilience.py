@@ -310,6 +310,23 @@ class TestCorruptionRecovery:
         assert cluster.node.snapshot_cache.stats.quarantined == 1
         assert cluster.fault_injector.stats.restore_corruptions == 1
 
+    def test_snapshot_hits_count_warm_deploys_only(self):
+        env = Environment()
+        cluster = FaasCluster.with_seuss_node(
+            env,
+            config=SeussConfig(cache_idle_ucs=False),
+            faults=FaultPlan(snapshot_corrupt_restore_p=0.5, seed=3),
+        )
+        fn = nop_function()
+        paths = [cluster.invoke_sync(fn).path for _ in range(20)]
+        warm = paths.count(InvocationPath.WARM)
+        stats = cluster.node.snapshot_cache.stats
+        assert stats.quarantined > 0
+        assert warm == cluster.node.stats.warm == 10
+        assert stats.hits == warm
+        # Every lookup is a hit or a miss: a quarantined snapshot is a miss.
+        assert stats.hits + stats.misses == len(paths)
+
 
 class TestBusDisruption:
     def test_dropped_message_redelivers(self):

@@ -184,6 +184,8 @@ class TestSnapshotLostWhileQueued:
         assert result.success, result.error
         assert result.path is InvocationPath.COLD
         assert fn.key in node.snapshot_cache  # the cold rebuild re-cached it
+        # The lost snapshot served no deploy, so it is no hit.
+        assert node.snapshot_cache.stats.hits == node.stats.warm == 0
 
 class TestSecurityModel:
     def test_attack_surface_reduction(self):

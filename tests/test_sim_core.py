@@ -392,6 +392,69 @@ class TestConditions:
 
         assert env.run(until=env.process(proc())) == 5.0
 
+    def test_any_of_won_by_process_detaches_from_losing_timeout(self, env):
+        def work():
+            yield env.timeout(5)
+            return "done"
+
+        def proc():
+            node = env.process(work())
+            deadline = env.timeout(60_000)
+            race = AnyOf(env, [node, deadline])
+            values = yield race
+            assert deadline.callbacks == []
+            return values[node], deadline
+
+        outcome = env.process(proc())
+        value, deadline = env.run(until=outcome)
+        assert value == "done"
+        # The losing timer still fires, as an empty event.
+        assert not deadline.processed
+        events = env.events_processed
+        env.run()
+        assert deadline.processed
+        assert env.now == 60_000.0
+        assert env.events_processed == events + 1
+
+    def test_any_of_won_by_timeout_still_defuses_late_failure(self, env):
+        def work():
+            yield env.timeout(20)
+            raise RuntimeError("late failure")
+
+        node = env.process(work())
+
+        def proc():
+            deadline = env.timeout(5)
+            yield AnyOf(env, [node, deadline])
+            assert len(node.callbacks) == 1  # still subscribed
+            return env.now
+
+        assert env.run(until=env.process(proc())) == 5.0
+        env.run()  # the failure is defused by the settled AnyOf
+        assert node.processed and not node.ok
+        assert env.now == 20.0
+
+    def test_all_of_failing_fast_detaches_from_scheduled_timeouts(self, env):
+        event = env.event()
+        slow = env.timeout(100)
+
+        def failer():
+            yield env.timeout(1)
+            event.fail(RuntimeError("nope"))
+
+        def proc():
+            try:
+                yield AllOf(env, [event, slow])
+            except RuntimeError:
+                return env.now
+
+        env.process(failer())
+        assert env.run(until=env.process(proc())) == 1.0
+        assert slow.callbacks == []
+        env.run()
+        assert slow.processed
+        assert env.now == 100.0
+
 
 class TestRunUntilEvent:
     def test_run_until_event_returns_value(self, env):
